@@ -30,9 +30,11 @@ print(f"exact optimum: profit {oracle.p_opt_value}, "
 
 config = VqeConfig(init=InitKind.ALL_ZERO, seed=1)
 result = run_with_restarts(circuit, h, config, oracle)
+# the budget charges each gradient 2P evaluations; the trace holds only the
+# cost evaluations themselves
 print(f"final cost {result.final_cost:.6f} after "
-      f"{result.evaluations_used} evaluations, "
-      f"p_opt {p_opt(result.final_distribution, oracle):.4f}")
+      f"{result.evaluations_used} evaluations ({len(result.history)} of them "
+      f"cost evaluations), p_opt {p_opt(result.final_distribution, oracle):.4f}")
 
 checkpoints = np.linspace(0, len(result.param_snapshots) - 1, 6, dtype=int)
 print("\nexcavation probabilities along the trace:")

@@ -2,8 +2,10 @@
 
 All three reach the same optimum; what differs is how many cost evaluations
 each one spends getting there. SPSA needs only two evaluations per step but
-many steps; the quasi-Newton method pays for finite-difference gradients and
-still finishes far cheaper.
+many steps. The quasi-Newton method is charged 2P evaluations per gradient,
+what a parameter-shift gradient over P parameters costs on hardware (here the
+gradient itself comes exactly from one adjoint sweep), and still finishes far
+cheaper.
 """
 
 from fractions import Fraction

@@ -4,12 +4,17 @@ retained parent-child pair (control = child, target = parent)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .lattice import PitLattice
-from .simulator import InitKind, StateVector, apply_cry, apply_ry, init_state
+from .simulator import InitKind, Program, StateVector
+
+# The gate-by-gate kernels a compiled circuit reproduces, importable from here
+# under the names perfbench/tracing.py wraps.
+from .simulator import apply_cry, apply_ry, init_state  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,37 @@ class ParamCircuit:
             else:
                 lines.append(f"cry q{g.control} q{g.target} p{g.param_id}")
         return "\n".join(lines)
+
+    def bind(self, params: Sequence[float]) -> np.ndarray:
+        """The parameter vector as floats; rejects a wrong parameter count."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.param_count,):
+            raise ValueError(f"expected {self.param_count} parameters, got {params.shape}")
+        return params
+
+    @cached_property
+    def program(self) -> Program:
+        """The circuit compiled once, on first use.
+
+        A qubit's first gate, if it is a Ry, joins the leading layer: every
+        earlier gate acts on other qubits, so it commutes to the front.
+        """
+        layer = [-1] * self.n
+        tail_param, tail_control, tail_target = [], [], []
+        touched: set[int] = set()
+        for g in self.gates:
+            if isinstance(g, SingleRy):
+                control, target = -1, g.qubit
+            else:
+                control, target = g.control, g.target
+            if control < 0 and target not in touched and 0 <= target < self.n:
+                layer[target] = g.param_id
+            else:
+                tail_param.append(g.param_id)
+                tail_control.append(control)
+                tail_target.append(target)
+            touched.update((control, target))
+        return Program(self.n, layer, tail_param, tail_control, tail_target)
 
 
 def build_circuit(
@@ -80,15 +116,5 @@ def build_circuit(
 
 def prepare(circuit: ParamCircuit, params: Sequence[float], init: InitKind) -> StateVector:
     """Apply the bound circuit to the chosen initial product state."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.param_count,):
-        raise ValueError(
-            f"expected {circuit.param_count} parameters, got {params.shape}"
-        )
-    state = init_state(circuit.n, init)
-    for g in circuit.gates:
-        if isinstance(g, SingleRy):
-            apply_ry(state, g.qubit, params[g.param_id])
-        else:
-            apply_cry(state, g.control, g.target, params[g.param_id])
-    return state
+    params = circuit.bind(params)
+    return StateVector(circuit.n, circuit.program.amplitudes(params, init))

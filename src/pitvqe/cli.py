@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -110,22 +111,31 @@ class _OutDir:
         if path is not None:
             os.makedirs(path, exist_ok=True)
 
-    def write(self, name: str, text: str) -> None:
+    def write(self, name: str, render: Callable[..., str], *args) -> None:
+        """Write ``render(*args)``; without an output directory, render nothing."""
         if self.path is None:
             return
         with open(os.path.join(self.path, name), "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.write(render(*args))
 
     def write_meta(self, settings: dict) -> None:
-        lines = [f"{k}={settings[k]}" for k in sorted(settings)]
-        self.write("run.meta", "\n".join(lines) + "\n")
+        self.write("run.meta", _lines, [f"{k}={settings[k]}" for k in sorted(settings)])
+
+
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def _trace_csv(history) -> str:
-    lines = ["evaluation,cost"]
-    for evaluation, cost in history:
-        lines.append(f"{evaluation},{cost:.12g}")
-    return "\n".join(lines) + "\n"
+    return _lines(["evaluation,cost"]
+                  + [f"{evaluation},{cost:.12g}" for evaluation, cost in history])
+
+
+def _fragments_csv(traces) -> str:
+    return _lines(["sweep,fragment,negative_cost"]
+                  + [f"{sweep},{fragment},{value:.12g}"
+                     for sweep, row in enumerate(traces, start=1)
+                     for fragment, value in enumerate(row)])
 
 
 def _solve_config(args, optimizer: Optimizer) -> VqeConfig:
@@ -143,11 +153,10 @@ def _cmd_oracle(args) -> int:
     oracle = enumerate_lattice(lattice, gamma)
     out = _OutDir(args.out)
     out.write_meta({"mode": "oracle", "instance": path, "gamma": gamma})
-    out.write(
-        "oracle.csv",
-        "p_opt_value,ground_cost,optimal_count\n"
-        f"{oracle.p_opt_value},{oracle.ground_cost},{len(oracle.optimal_set)}\n",
-    )
+    out.write("oracle.csv", _lines, [
+        "p_opt_value,ground_cost,optimal_count",
+        f"{oracle.p_opt_value},{oracle.ground_cost},{len(oracle.optimal_set)}",
+    ])
     print(f"P_opt={oracle.p_opt_value} optimal_count={len(oracle.optimal_set)}")
     return 0
 
@@ -167,9 +176,9 @@ def _cmd_solve(args) -> int:
         "optimizer": args.optimizer, "seed": args.seed,
         "max_evals": args.max_evals, "restarts": args.restarts,
     })
-    out.write("trace.csv", _trace_csv(result.history))
-    out.write("distribution.csv",
-              distribution_to_csv(result.final_distribution, lattice.n))
+    out.write("trace.csv", _trace_csv, result.history)
+    out.write("distribution.csv", distribution_to_csv,
+              result.final_distribution, lattice.n)
     print(f"P_opt={oracle.p_opt_value} p_opt={popt:.3f}")
     return 0
 
@@ -196,7 +205,7 @@ def _cmd_compare(args) -> int:
         )
         print(f"{report.optimizer.value}: evaluations="
               f"{report.evaluations_to_converge} final_cost={report.final_cost:.6f}")
-    out.write("report.csv", "\n".join(lines) + "\n")
+    out.write("report.csv", _lines, lines)
     return 0
 
 
@@ -220,13 +229,9 @@ def _cmd_decompose(args) -> int:
         "partition": args.partition, "init": args.init,
         "optimizer": args.optimizer, "seed": args.seed,
     })
-    lines = ["sweep,fragment,negative_cost"]
-    for sweep, row in enumerate(result.traces, start=1):
-        for fragment, value in enumerate(row):
-            lines.append(f"{sweep},{fragment},{value:.12g}")
-    out.write("fragments.csv", "\n".join(lines) + "\n")
-    out.write("distribution.csv",
-              distribution_to_csv(result.final_distribution, lattice.n))
+    out.write("fragments.csv", _fragments_csv, result.traces)
+    out.write("distribution.csv", distribution_to_csv,
+              result.final_distribution, lattice.n)
     print(f"P_opt={oracle.p_opt_value} p_opt={popt:.3f} "
           f"sweeps={result.sweeps} energy={result.energy_trace[-1]:.6f}")
     return 0
@@ -253,8 +258,8 @@ def _cmd_sample(args) -> int:
         "noise": args.noise, "mitigate": args.mitigate,
         "max_evals": args.max_evals, "restarts": args.restarts,
     })
-    out.write("counts.csv", counts_to_csv(counts, lattice.n))
-    out.write("distribution.csv", distribution_to_csv(dist, lattice.n))
+    out.write("counts.csv", counts_to_csv, counts, lattice.n)
+    out.write("distribution.csv", distribution_to_csv, dist, lattice.n)
     exact = probabilities(state)
     summary = (f"P_opt={oracle.p_opt_value} p_opt={p_opt(dist, oracle):.3f} "
                f"p_v={violation_probability(dist, lattice):.4f} "
@@ -262,7 +267,7 @@ def _cmd_sample(args) -> int:
     if args.mitigate:
         mitigated = mitigate(dist, model if model is not None
                              else identity_model(lattice.n))
-        out.write("mitigated.csv", distribution_to_csv(mitigated, lattice.n))
+        out.write("mitigated.csv", distribution_to_csv, mitigated, lattice.n)
         summary += (f" p_opt_mit={p_opt(mitigated, oracle):.3f} "
                     f"p_v_mit={violation_probability(mitigated, lattice):.4f} "
                     f"d_mit={bhattacharyya(mitigated, exact):.4f}")

@@ -19,7 +19,7 @@ from .ansatz import ParamCircuit, build_circuit, prepare
 from .hamiltonian import DiagonalCost
 from .lattice import PitLattice
 from .simulator import InitKind, StateVector, probabilities
-from .vqe import DescentState, Optimizer, VqeConfig, _project
+from .vqe import DescentState, Optimizer, VqeConfig, _project, gradient_adjoint
 
 
 @dataclass(frozen=True)
@@ -344,8 +344,11 @@ def scf_run(
                 _history.append((len(_history), value))
                 return value
 
+            def grad(theta, _diag=diag, _fp=fp):
+                return gradient_adjoint(_fp.circuit, theta, _diag, config.init)
+
             for _ in range(config.inner_iterations):
-                opt.iterate(f, refresh=multi)
+                opt.iterate(f, grad, refresh=multi)
             if config.sum_constraint_enabled and fp.intra_pairs:
                 opt.params = sum_constraint_project(
                     fp.circuit, opt.params, upper=config.bounds[1]

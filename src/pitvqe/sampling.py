@@ -79,7 +79,9 @@ def sample(state: StateVector, shots: int, seed: int) -> Counts:
     if shots <= 0:
         raise ValueError("shots must be positive")
     rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probabilities(state))
+    # a squared amplitude can round to just above 1; clipping leaves every
+    # in-range vector, and so the counts drawn from it, unchanged
+    counts = rng.multinomial(shots, np.clip(probabilities(state), 0.0, 1.0))
     histogram = {int(i): int(c) for i, c in enumerate(counts) if c}
     return Counts(shots=shots, histogram=histogram)
 
@@ -151,17 +153,31 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
     return -np.log(min(coeff, 1.0))
 
 
+# Rows formatted at a time.  Chunk strings of about 32 kB stay below the size
+# the allocator maps separately, so one chunk's memory serves the next and the
+# peak stays below that of formatting every row at once.
+_CSV_CHUNK = 1 << 10
+
+
+def _csv(header: str, indices: np.ndarray, values: np.ndarray, n: int, fmt: str) -> str:
+    """``header``, then one ``bitstring,value`` row per basis index (qubit 0 first)."""
+    parts = [header + "\n"]
+    for start in range(0, len(indices), _CSV_CHUNK):
+        chunk = indices[start:start + _CSV_CHUNK]
+        chars = ((chunk[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+        labels = chars.view(f"S{n}").ravel().astype(str).tolist()
+        cells = values[start:start + _CSV_CHUNK].tolist()
+        parts.append("".join(f"{bits},{v:{fmt}}\n"
+                             for bits, v in zip(labels, cells, strict=True)))
+    return "".join(parts)
+
+
 def counts_to_csv(counts: Counts, n: int) -> str:
-    lines = ["bitstring,count"]
-    for index in sorted(counts.histogram):
-        bits = "".join(str((index >> q) & 1) for q in range(n))
-        lines.append(f"{bits},{counts.histogram[index]}")
-    return "\n".join(lines) + "\n"
+    indices = sorted(counts.histogram)
+    values = np.array([counts.histogram[i] for i in indices], dtype=np.int64)
+    return _csv("bitstring,count", np.array(indices, dtype=np.int64), values, n, "")
 
 
 def distribution_to_csv(dist: np.ndarray, n: int) -> str:
-    lines = ["bitstring,probability"]
-    for index in range(1 << n):
-        bits = "".join(str((index >> q) & 1) for q in range(n))
-        lines.append(f"{bits},{dist[index]:.12g}")
-    return "\n".join(lines) + "\n"
+    return _csv("bitstring,probability", np.arange(1 << n),
+                np.asarray(dist)[: 1 << n], n, ".12g")

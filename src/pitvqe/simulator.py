@@ -2,11 +2,17 @@
 
 Only Y rotations and controlled-Y rotations are supported, so amplitudes stay
 real throughout; basis index bit i is z_i with qubit 0 least significant.
+
+``apply_ry`` and ``apply_cry`` act gate by gate on a ``StateVector``.  A whole
+circuit runs as a ``Program``: its leading Ry layer is built directly as a
+product state, and the remaining gates act through index pairs computed once
+per program.  The same program gives the exact gradient by a reverse sweep.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +25,14 @@ class InitKind(Enum):
     ALL_ZERO = "zero"
     ALL_ONE = "one"
     SUPERPOSITION = "plus"
+
+
+# The single-qubit state each initial product state is made of.
+_INIT_VECTOR = {
+    InitKind.ALL_ZERO: (1.0, 0.0),
+    InitKind.ALL_ONE: (0.0, 1.0),
+    InitKind.SUPERPOSITION: (np.sqrt(0.5), np.sqrt(0.5)),
+}
 
 
 class StateVector:
@@ -37,9 +51,25 @@ class StateVector:
         return float(np.dot(self.amps, self.amps))
 
 
-def init_state(n: int, kind: InitKind) -> StateVector:
+def _check_qubit_count(n: int) -> None:
     if not 1 <= n <= QUBIT_CAP:
         raise ResourceWarning(f"qubit count {n} outside [1, {QUBIT_CAP}]")
+
+
+def _check_qubit(n: int, qubit: int) -> None:
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+
+
+def _check_pair(n: int, control: int, target: int) -> None:
+    _check_qubit(n, control)
+    _check_qubit(n, target)
+    if control == target:
+        raise ValueError("control and target must differ")
+
+
+def init_state(n: int, kind: InitKind) -> StateVector:
+    _check_qubit_count(n)
     amps = np.zeros(1 << n)
     if kind is InitKind.ALL_ZERO:
         amps[0] = 1.0
@@ -50,50 +80,123 @@ def init_state(n: int, kind: InitKind) -> StateVector:
     return StateVector(n, amps)
 
 
-def _check_qubit(state: StateVector, qubit: int) -> None:
-    if not 0 <= qubit < state.n:
-        raise ValueError(f"qubit {qubit} out of range for {state.n} qubits")
+def _rotate(a0: np.ndarray, a1: np.ndarray, theta: float) -> None:
+    """In place (a0, a1) <- Ry(theta) (a0, a1) on two views of equal shape."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    old0 = a0.copy()
+    a0 *= c
+    a0 -= s * a1
+    a1 *= c
+    a1 += s * old0
 
 
 def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
     """In-place Ry(theta) = [[c, -s], [s, c]] on one qubit, c=cos(theta/2)."""
-    _check_qubit(state, qubit)
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    view = state.amps.reshape(1 << (state.n - qubit - 1), 2, 1 << qubit)
-    a0 = view[:, 0, :].copy()
-    view[:, 0, :] *= c
-    view[:, 0, :] -= s * view[:, 1, :]
-    view[:, 1, :] *= c
-    view[:, 1, :] += s * a0
+    _check_qubit(state.n, qubit)
+    view = state.amps.reshape(-1, 2, 1 << qubit)
+    _rotate(view[:, 0], view[:, 1], theta)
     return state
-
-_CRY_INDEX_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _cry_indices(n: int, control: int, target: int):
-    key = (n, control, target)
-    hit = _CRY_INDEX_CACHE.get(key)
-    if hit is None:
-        idx = np.arange(1 << n)
-        lo = idx[((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)]
-        hit = (lo, lo | (1 << target))
-        _CRY_INDEX_CACHE[key] = hit
-    return hit
 
 
 def apply_cry(state: StateVector, control: int, target: int, theta: float) -> StateVector:
     """In-place Ry(theta) on target restricted to the control=1 subspace."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    lo, hi = _cry_indices(state.n, control, target)
-    a0 = state.amps[lo].copy()
-    a1 = state.amps[hi]
-    state.amps[lo] = c * a0 - s * a1
-    state.amps[hi] = s * a0 + c * a1
+    _check_pair(state.n, control, target)
+    hi, lo = max(control, target), min(control, target)
+    view = state.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)  # bits hi, lo
+    if control == hi:
+        _rotate(view[:, 1, :, 0], view[:, 1, :, 1], theta)
+    else:
+        _rotate(view[:, 0, :, 1], view[:, 1, :, 1], theta)
     return state
+
+
+class Program:
+    """A circuit compiled to flat arrays.
+
+    ``layer_param[q]`` is the parameter of the leading Ry on qubit q, or -1
+    where the qubit has none; that layer acts on the initial product state and
+    is built as a product state.  The remaining gates form the tail, in
+    circuit order: gate k has parameter ``tail_param[k]`` and a (2, m) array
+    of basis indices whose columns are the amplitude pairs it rotates (target
+    bit 0 and 1, control bit 1 for a controlled rotation).
+    """
+
+    def __init__(
+        self,
+        n: int,
+        layer_param: Sequence[int],
+        tail_param: Sequence[int],
+        tail_control: Sequence[int],  # -1 for an uncontrolled Ry
+        tail_target: Sequence[int],
+    ):
+        _check_qubit_count(n)
+        self.n = n
+        self.layer_param = np.asarray(layer_param, dtype=np.intp)
+        self.tail_param = np.asarray(tail_param, dtype=np.intp)
+        index = np.arange(1 << n)
+        self.tail_pairs = []
+        for control, target in zip(tail_control, tail_target):
+            if control < 0:
+                _check_qubit(n, target)
+                lo = index[(index >> target) & 1 == 0]
+            else:
+                _check_pair(n, control, target)
+                lo = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
+            self.tail_pairs.append(np.stack((lo, lo | (1 << target))))
+
+    def _forward(self, params: np.ndarray, init: InitKind):
+        """Run the circuit; returns (v, prefixes, rotations, amplitudes).
+
+        ``v[:, q]`` is qubit q's state after its leading Ry and
+        ``prefixes[q]`` the product state of qubits below q.
+        """
+        # a trailing zero angle stands in for a qubit without a leading Ry
+        half = np.append(params, 0.0) / 2.0
+        c, s = np.cos(half), np.sin(half)
+        u0, u1 = _INIT_VECTOR[init]
+        layer = np.array((c[self.layer_param], s[self.layer_param]))
+        v = np.array(((u0, -u1), (u1, u0))) @ layer  # Ry(theta_q) (u0, u1)
+        prefixes = [np.ones(1)]
+        for q in range(self.n):  # concatenate((v0 * prefix, v1 * prefix))
+            prefixes.append((v[:, q, None] * prefixes[-1]).reshape(-1))
+        amps = prefixes.pop()
+        c, s = c[self.tail_param], s[self.tail_param]
+        rotations = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
+        for pairs, rot in zip(self.tail_pairs, rotations):
+            amps[pairs] = rot @ amps[pairs]
+        return v, prefixes, rotations, amps
+
+    def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
+        """The bound circuit applied to the initial product state."""
+        return self._forward(params, init)[3]
+
+    def gradient(self, params: np.ndarray, diag: np.ndarray, init: InitKind) -> np.ndarray:
+        """Exact gradient of <psi|diag|psi> by one reverse sweep.
+
+        With lam = diag psi, a gate's derivative is dRy(t) = Ry(t + pi) / 2,
+        so its term is lam . Ry(pi) psi taken just after the gate (control
+        bit 1 only for a controlled rotation); undoing the gate on psi and
+        lam moves the sweep one gate back.  The leading layer's terms come
+        from contracting lam with the product state from the top qubit down.
+        """
+        v, prefixes, rotations, phi = self._forward(params, init)
+        lam = diag * phi
+        grad = np.zeros(params.size)
+        for k in range(len(self.tail_pairs) - 1, -1, -1):
+            pairs = self.tail_pairs[k]
+            a, l = phi[pairs], lam[pairs]
+            grad[self.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
+            back = rotations[k].T
+            phi[pairs] = back @ a
+            lam[pairs] = back @ l
+        rest = lam  # lam contracted with the layer states of qubits above q
+        for q in range(self.n - 1, -1, -1):
+            rest = rest.reshape(2, -1)
+            if self.layer_param[q] >= 0:
+                d0, d1 = rest @ prefixes[q]
+                grad[self.layer_param[q]] += v[0, q] * d1 - v[1, q] * d0
+            rest = v[:, q] @ rest
+        return grad
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -109,7 +212,7 @@ def expect_diagonal(state: StateVector, h: DiagonalCost) -> float:
 
 def expect_z(state: StateVector, qubit: int) -> float:
     """<Z_qubit> = p(z_qubit = 0) - p(z_qubit = 1)."""
-    _check_qubit(state, qubit)
+    _check_qubit(state.n, qubit)
     p = probabilities(state).reshape(1 << (state.n - qubit - 1), 2, 1 << qubit)
     return float(p[:, 0, :].sum() - p[:, 1, :].sum())
 

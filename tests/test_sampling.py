@@ -17,7 +17,10 @@ from pitvqe.sampling import (
     mitigate,
     sample,
 )
-from pitvqe.simulator import InitKind, apply_ry, init_state
+from pitvqe import bundled_instance_path
+from pitvqe.ansatz import build_circuit, prepare
+from pitvqe.lattice import load_instance
+from pitvqe.simulator import InitKind, apply_ry, init_state, probabilities
 
 
 def test_counts_histogram_consistency():
@@ -140,3 +143,32 @@ def test_csv_formats():
     assert distribution_to_csv(dist, 1) == (
         "bitstring,probability\n0,0.25\n1,0.75\n"
     )
+
+
+def _bits(index, n):
+    return "".join(str((index >> q) & 1) for q in range(n))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_csv_bytes_match_the_per_row_format(n):
+    rng = np.random.default_rng(n)
+    dist = rng.uniform(size=1 << n)
+    dist[: min(3, 1 << n)] = [0.0, 1e-300, 1.0][: 1 << n]
+    want = "".join(f"{_bits(i, n)},{dist[i]:.12g}\n" for i in range(1 << n))
+    assert distribution_to_csv(dist, n) == "bitstring,probability\n" + want
+    histogram = {int(i): int(rng.integers(1, 9))
+                 for i in rng.choice(1 << n, size=min(5, 1 << n), replace=False)}
+    counts = Counts(shots=sum(histogram.values()), histogram=histogram)
+    want = "".join(f"{_bits(i, n)},{histogram[i]}\n" for i in sorted(histogram))
+    assert counts_to_csv(counts, n) == "bitstring,count\n" + want
+
+
+def test_sample_survives_a_probability_rounded_above_one():
+    circuit = build_circuit(load_instance(bundled_instance_path("mini4")))
+    params = [1.8388451168915623, -4.263014516276499, -1.869139917553704,
+              3.1415926536261716, 1.3027475369451167, 1.1214218628911632,
+              -1.2724527361687725]
+    state = prepare(circuit, params, InitKind.ALL_ZERO)
+    assert probabilities(state).max() > 1.0  # the rounding this guards against
+    counts = sample(state, 1000, seed=2)
+    assert counts.histogram == {15: 1000}
