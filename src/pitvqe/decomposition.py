@@ -16,10 +16,16 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ansatz import ParamCircuit, build_circuit, prepare
-from .hamiltonian import DiagonalCost
+from .hamiltonian import QUBIT_CAP
 from .lattice import PitLattice
-from .simulator import InitKind, StateVector, probabilities
-from .vqe import DescentState, Optimizer, VqeConfig, _project, gradient_adjoint
+from .simulator import InitKind, StateVector, excavation_probabilities, probabilities
+from .vqe import DescentState, Optimizer, gradient_adjoint
+
+INIT_PARAM_RANGE = (0.0, np.pi / 10)  # initial parameters drawn uniformly
+BOUNDS = (0.0, np.pi)  # box bounds on every fragment parameter
+TOLERANCE = 1e-6  # energy change between sweeps that counts as converged
+KICK_EPSILON = 1e-3  # parameters this close to a bound get kicked inward
+KICK_TEMPERATURE = 0.1  # ... by a uniform draw from (0, KICK_TEMPERATURE]
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,8 @@ class FragmentProblem:
     child_out_pairs: tuple[tuple[int, int], ...]  # child global out, parent global in
     circuit: ParamCircuit
     profits: tuple[int, ...]  # per local qubit
+    _intra_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def size(self) -> int:
@@ -89,6 +97,20 @@ class FragmentProblem:
 
     def local(self, block: int) -> int:
         return self.blocks.index(block)
+
+    def intra_diagonal(self, gamma: float) -> np.ndarray:
+        """Profit and intra-fragment penalty terms, cached per gamma and read-only."""
+        diag = self._intra_cache.get(gamma)
+        if diag is None:
+            bits = _local_bits(self.size)
+            diag = -(bits @ np.array(self.profits, dtype=float))
+            for child, parent in self.intra_pairs:
+                diag = diag + gamma * bits[:, self.local(child)] * (
+                    1 - bits[:, self.local(parent)]
+                )
+            diag.setflags(write=False)
+            self._intra_cache[gamma] = diag
+        return diag
 
 
 def build_fragment_problems(
@@ -146,10 +168,7 @@ def effective_diagonal(
     is what ``include_child_out=False`` computes.
     """
     bits = _local_bits(fp.size)
-    w = np.array(fp.profits, dtype=float)
-    diag = -(bits @ w)
-    for child, parent in fp.intra_pairs:
-        diag = diag + gamma * bits[:, fp.local(child)] * (1 - bits[:, fp.local(parent)])
+    diag = fp.intra_diagonal(gamma)
     _require_fields(mf, [j for _, j in fp.child_in_pairs])
     for child, parent in fp.child_in_pairs:
         diag = diag + gamma * bits[:, fp.local(child)] * (1.0 + mf[parent]) / 2.0
@@ -175,13 +194,8 @@ def effective_cost(
 
 def fragment_mean_fields(fp: FragmentProblem, state: StateVector) -> dict[int, float]:
     """<Z_b> for every block of the fragment from its local state."""
-    p = probabilities(state)
-    bits = _local_bits(fp.size)
-    out = {}
-    for k, b in enumerate(fp.blocks):
-        p1 = float(p[bits[:, k] == 1].sum())
-        out[b] = 1.0 - 2.0 * p1
-    return out
+    p1 = excavation_probabilities(state)
+    return {b: 1.0 - 2.0 * float(p1[k]) for k, b in enumerate(fp.blocks)}
 
 
 def total_energy(
@@ -208,15 +222,7 @@ class ScfConfig:
     init: InitKind = InitKind.SUPERPOSITION
     optimizer: Optimizer = Optimizer.GRADIENT_DESCENT
     seed: int = 0
-    init_param_range: tuple[float, float] = (0.0, np.pi / 10)
-    bounds: tuple[float, float] = (0.0, np.pi)
-    tolerance: float = 1e-6
     max_sweeps: int = 500
-    inner_iterations: int = 1
-    boundary_kick_enabled: bool = True
-    kick_epsilon: float = 1e-3
-    kick_temperature: float = 0.1
-    sum_constraint_enabled: bool = True
 
     def __post_init__(self):
         if self.optimizer is Optimizer.SPSA:
@@ -298,27 +304,21 @@ def scf_run(
     config: ScfConfig = ScfConfig(),
 ) -> ScfResult:
     """Self-consistent sweep: one optimizer iteration per fragment per loop."""
+    if lattice.n > QUBIT_CAP:
+        raise ResourceWarning(
+            f"product distribution needs 2^{lattice.n} entries (cap n <= {QUBIT_CAP})"
+        )
     gamma_f = float(gamma)
     problems = build_fragment_problems(lattice, partition)
     rng = np.random.default_rng(config.seed)
-    lo, hi = config.init_param_range
-    vqe_cfg = VqeConfig(
-        init=config.init,
-        optimizer=config.optimizer,
-        seed=config.seed,
-        tolerance=config.tolerance,
-        bounds=config.bounds,
-    )
-    opt_states = []
-    for fp in problems:
-        params = _project(
-            rng.uniform(lo, hi, size=fp.circuit.param_count), config.bounds
+    quasi_newton = config.optimizer is Optimizer.QUASI_NEWTON_BOUNDED
+    opt_states = [
+        DescentState(
+            rng.uniform(*INIT_PARAM_RANGE, size=fp.circuit.param_count),
+            BOUNDS, quasi_newton,
         )
-        opt_states.append(
-            DescentState(
-                params, vqe_cfg, config.optimizer is Optimizer.QUASI_NEWTON_BOUNDED
-            )
-        )
+        for fp in problems
+    ]
     histories: list[list[tuple[int, float]]] = [[] for _ in problems]
     states = [
         prepare(fp.circuit, st.params, config.init)
@@ -347,24 +347,19 @@ def scf_run(
             def grad(theta, _diag=diag, _fp=fp):
                 return gradient_adjoint(_fp.circuit, theta, _diag, config.init)
 
-            for _ in range(config.inner_iterations):
-                opt.iterate(f, grad, refresh=multi)
-            if config.sum_constraint_enabled and fp.intra_pairs:
-                opt.params = sum_constraint_project(
-                    fp.circuit, opt.params, upper=config.bounds[1]
-                )
-            if config.boundary_kick_enabled:
-                kicked = boundary_kick(
-                    opt.params, config.bounds, config.kick_epsilon,
-                    config.kick_temperature, rng,
-                )
-                if not np.array_equal(kicked, opt.params):
-                    opt.params = kicked
-                    opt.fx = None  # force re-evaluation next iteration
+            opt.iterate(f, grad, refresh=multi)
+            if fp.intra_pairs:
+                opt.params = sum_constraint_project(fp.circuit, opt.params, BOUNDS[1])
+            kicked = boundary_kick(
+                opt.params, BOUNDS, KICK_EPSILON, KICK_TEMPERATURE, rng
+            )
+            if not np.array_equal(kicked, opt.params):
+                opt.params = kicked
+                opt.fx = None  # force re-evaluation next iteration
             states[a] = prepare(fp.circuit, opt.params, config.init)
             mf.update(fragment_mean_fields(fp, states[a]))
-        energy = total_energy(problems, states, gamma_f)
-        energy_trace.append(energy)
+        # every fragment's mean fields are current, so the trace row holds the
+        # total_energy terms: severed pairs booked once, on the child's side
         traces.append(
             [
                 -float(
@@ -376,9 +371,10 @@ def scf_run(
                 for fp, st in zip(problems, states)
             ]
         )
+        energy_trace.append(-sum(traces[-1]))
         if len(energy_trace) >= 3 and (
-            abs(energy_trace[-1] - energy_trace[-2]) < config.tolerance
-            and abs(energy_trace[-2] - energy_trace[-3]) < config.tolerance
+            abs(energy_trace[-1] - energy_trace[-2]) < TOLERANCE
+            and abs(energy_trace[-2] - energy_trace[-3]) < TOLERANCE
         ):
             converged = True
             break

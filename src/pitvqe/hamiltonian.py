@@ -16,7 +16,8 @@ import numpy as np
 
 from .lattice import PitLattice, profit, smoothness
 
-DENSE_QUBIT_CAP = 20
+# Largest qubit count any module allocates 2^n entries for.
+QUBIT_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,9 @@ class DiagonalCost:
         """
         cached = self._dense_cache.get("diag")
         if cached is None:
-            if self.n > DENSE_QUBIT_CAP:
+            if self.n > QUBIT_CAP:
                 raise ResourceWarning(
-                    f"dense diagonal needs 2^{self.n} entries (cap n <= {DENSE_QUBIT_CAP})"
+                    f"dense diagonal needs 2^{self.n} entries (cap n <= {QUBIT_CAP})"
                 )
             p, s = _index_table(self.lattice)
             cached = -p.astype(np.float64) + float(self.gamma) * s.astype(np.float64)
@@ -69,8 +70,8 @@ class DiagonalCost:
 def _index_table(lattice: PitLattice) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-basis-index profit and violation counts (cached)."""
     n = lattice.n
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceWarning(f"enumeration needs 2^{n} entries (cap {DENSE_QUBIT_CAP})")
+    if n > QUBIT_CAP:
+        raise ResourceWarning(f"enumeration needs 2^{n} entries (cap {QUBIT_CAP})")
     idx = np.arange(1 << n, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(n)) & 1
     p = bits @ np.asarray(lattice.profits, dtype=np.int64)

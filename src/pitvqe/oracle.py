@@ -1,6 +1,6 @@
 """Exact classical reference by exhaustive enumeration.
 
-Valid at desk scale (n <= 24): finds the maximum feasible profit, the set of
+Valid at desk scale (n <= 20): finds the maximum feasible profit, the set of
 optimal profiles, and the exact minimum of the penalized cost, all in exact
 integer arithmetic.
 """
@@ -12,10 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hamiltonian import _index_table
+from .hamiltonian import QUBIT_CAP, _index_table
 from .lattice import PitLattice
-
-ENUM_QUBIT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -28,9 +26,9 @@ class OracleResult:
 
 def enumerate_lattice(lattice: PitLattice, gamma: Fraction) -> OracleResult:
     """Scan all 2^n bitstrings exactly."""
-    if lattice.n > ENUM_QUBIT_CAP:
+    if lattice.n > QUBIT_CAP:
         raise ResourceWarning(
-            f"enumeration over 2^{lattice.n} strings exceeds cap {ENUM_QUBIT_CAP}"
+            f"enumeration over 2^{lattice.n} strings exceeds cap {QUBIT_CAP}"
         )
     gamma = Fraction(gamma)
     p, s = _index_table(lattice)

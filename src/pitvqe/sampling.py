@@ -150,7 +150,8 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
     coeff = float(np.sqrt(p * q).sum())
     if coeff <= 0.0:
         return np.inf
-    return -np.log(min(coeff, 1.0))
+    # an overlap that rounds to 1 or above would give -0.0 or a negative distance
+    return float(-np.log(coeff)) if coeff < 1.0 else 0.0
 
 
 # Rows formatted at a time.  Chunk strings of about 32 kB stay below the size

@@ -16,9 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hamiltonian import DiagonalCost
-
-QUBIT_CAP = 20
+from .hamiltonian import QUBIT_CAP, DiagonalCost
 
 
 class InitKind(Enum):
@@ -210,13 +208,8 @@ def expect_diagonal(state: StateVector, h: DiagonalCost) -> float:
     return float(np.dot(probabilities(state), h.dense_diagonal()))
 
 
-def expect_z(state: StateVector, qubit: int) -> float:
-    """<Z_qubit> = p(z_qubit = 0) - p(z_qubit = 1)."""
-    _check_qubit(state.n, qubit)
-    p = probabilities(state).reshape(1 << (state.n - qubit - 1), 2, 1 << qubit)
-    return float(p[:, 0, :].sum() - p[:, 1, :].sum())
-
-
 def excavation_probabilities(state: StateVector) -> np.ndarray:
-    """Per-qubit p(z_i = 1) = (1 - <Z_i>) / 2."""
-    return np.array([(1.0 - expect_z(state, q)) / 2.0 for q in range(state.n)])
+    """Per-qubit p(z_i = 1): the mass on basis indices with bit i set."""
+    p = probabilities(state)
+    index = np.arange(p.size)
+    return np.array([p[(index >> q) & 1 == 1].sum() for q in range(state.n)])

@@ -7,7 +7,7 @@ are deterministic given the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -16,7 +16,7 @@ import numpy as np
 from .ansatz import ParamCircuit, prepare
 from .hamiltonian import DiagonalCost
 from .oracle import OracleResult, p_opt
-from .simulator import InitKind, expect_diagonal, probabilities
+from .simulator import InitKind, excavation_probabilities, expect_diagonal, probabilities
 
 
 class Optimizer(Enum):
@@ -42,22 +42,20 @@ class SpsaGains:
             raise ValueError("gain c must be positive")
 
 
+SPSA_GAINS = SpsaGains()  # a and A are set per run: calibrated a, A = 1% of budget
+INIT_PARAM_RANGE = (-np.pi / 10, np.pi / 10)  # initial parameters drawn uniformly
+TOLERANCE = 1e-6  # spread of the last accepted costs that counts as converged
+GRAD_TOLERANCE = 1e-3  # stationarity check for the descent methods
+
+
 @dataclass(frozen=True)
 class VqeConfig:
     init: InitKind = InitKind.ALL_ZERO
     optimizer: Optimizer = Optimizer.QUASI_NEWTON_BOUNDED
     max_evaluations: int = 5000
     seed: int = 0
-    init_param_range: tuple[float, float] = (-np.pi / 10, np.pi / 10)
-    tolerance: float = 1e-6
-    bounds: tuple[float, float] | None = None  # box bounds on every parameter
-    spsa: SpsaGains = field(default_factory=SpsaGains)
-    grad_tolerance: float = 1e-3  # stationarity check for the descent methods
 
     def __post_init__(self):
-        lo, hi = self.init_param_range
-        if not lo < hi:
-            raise ValueError("init_param_range must satisfy lo < hi")
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be positive")
 
@@ -222,14 +220,14 @@ class DescentState:
 
     One ``iterate`` call performs one accepted-iterate update (gradient,
     backtracking line search, curvature update) from the cost ``f`` and its
-    gradient ``grad``.  Both the batch VQE loop and the per-fragment
-    self-consistent sweep drive this same object, so a single-fragment
-    decomposition reproduces plain VQE bit-for-bit.
+    gradient ``grad``, keeping every parameter inside ``bounds`` (lo, hi) unless
+    it is None.  Both the batch VQE loop (unbounded) and the per-fragment
+    self-consistent sweep (bounded) drive this same object.
     """
 
-    def __init__(self, params, config: VqeConfig, quasi_newton: bool):
-        self.params = _project(np.array(params, dtype=float), config.bounds)
-        self.config = config
+    def __init__(self, params, bounds: tuple[float, float] | None, quasi_newton: bool):
+        self.params = _project(np.array(params, dtype=float), bounds)
+        self.bounds = bounds
         self.quasi_newton = quasi_newton
         self.H = np.eye(self.params.size)
         self.fx: float | None = None
@@ -245,7 +243,6 @@ class DescentState:
         ``refresh`` re-evaluates cost and gradient at the current point first,
         for callers whose cost function changed since the previous call.
         """
-        config = self.config
         if self.fx is None or refresh:
             self.fx = f(self.params)
             self.grad = grad(self.params)
@@ -263,7 +260,7 @@ class DescentState:
             return True
         t0 = self.step_scale if not self.quasi_newton else 1.0
         new_params, new_fx, t = _line_search(
-            f, self.params, self.fx, direction, slope, config.bounds, t0=t0
+            f, self.params, self.fx, direction, slope, self.bounds, t0=t0
         )
         if not self.quasi_newton:
             self.step_scale = min(max(t * 4.0, 1.0), 1e15)
@@ -283,42 +280,39 @@ class DescentState:
         self.accepted.append(new_fx)
         # a flat cost window alone can fire while crawling out of a saddle,
         # so also require approximate stationarity
-        return _window_converged(self.accepted, config.tolerance) and bool(
-            np.max(np.abs(self.grad)) < config.grad_tolerance
+        return _window_converged(self.accepted, TOLERANCE) and bool(
+            np.max(np.abs(self.grad)) < GRAD_TOLERANCE
         )
 
 
-def _descent_loop(f, params, config: VqeConfig, quasi_newton: bool):
+def _descent_loop(f, params, quasi_newton: bool):
     """Shared driver for gradient descent and the quasi-Newton method."""
-    state = DescentState(params, config, quasi_newton)
+    state = DescentState(params, None, quasi_newton)
     while not state.iterate(f, f.gradient):
         pass
     return state.params
 
 
-def _spsa_loop(f, params, config: VqeConfig, rng: np.random.Generator):
-    gains = config.spsa
-    budget_iters = max(1, (config.max_evaluations - f.used) // 3)
-    A = gains.A if gains.A is not None else 0.01 * budget_iters
-    a = gains.a
-    if a is None:
-        # first-step calibration: aim the k=0 update at ~0.1 rad per parameter
-        mags = []
-        c0 = gains.c
-        for _ in range(5):
-            delta = rng.integers(0, 2, size=params.size) * 2.0 - 1.0
-            diff = f(params + c0 * delta) - f(params - c0 * delta)
-            mags.append(abs(diff) / (2.0 * c0))
-        mean_mag = max(np.mean(mags), 1e-10)
-        a = 0.1 * (A + 1) ** gains.alpha / mean_mag
+def _spsa_loop(f, params, rng: np.random.Generator):
+    gains = SPSA_GAINS
+    A = 0.01 * max(1, (f.budget - f.used) // 3)
+    # first-step calibration: aim the k=0 update at ~0.1 rad per parameter
+    mags = []
+    c0 = gains.c
+    for _ in range(5):
+        delta = rng.integers(0, 2, size=params.size) * 2.0 - 1.0
+        diff = f(params + c0 * delta) - f(params - c0 * delta)
+        mags.append(abs(diff) / (2.0 * c0))
+    mean_mag = max(np.mean(mags), 1e-10)
+    a = 0.1 * (A + 1) ** gains.alpha / mean_mag
     resolved = replace(gains, a=a, A=A)
     accepted = []
     k = 0
     while True:
-        params = _project(spsa_step(params, f, k, resolved, rng), config.bounds)
+        params = spsa_step(params, f, k, resolved, rng)
         accepted.append(f(params))  # trace + best-point tracking at the iterate
         k += 1
-        if _window_converged(accepted, config.tolerance):
+        if _window_converged(accepted, TOLERANCE):
             break
     return params
 
@@ -326,24 +320,18 @@ def _spsa_loop(f, params, config: VqeConfig, rng: np.random.Generator):
 def run(circuit: ParamCircuit, h: DiagonalCost, config: VqeConfig) -> VqeResult:
     """Minimize the cost; deterministic given config.seed."""
     rng = np.random.default_rng(config.seed)
-    lo, hi = config.init_param_range
-    params = rng.uniform(lo, hi, size=circuit.param_count)
-    params = _project(params, config.bounds)
+    params = rng.uniform(*INIT_PARAM_RANGE, size=circuit.param_count)
     f = _Evaluator(circuit, h, config.init, config.max_evaluations)
     try:
         if config.optimizer is Optimizer.SPSA:
-            _spsa_loop(f, params, config, rng)
+            _spsa_loop(f, params, rng)
         else:
             _descent_loop(
-                f, params, config,
+                f, params,
                 quasi_newton=config.optimizer is Optimizer.QUASI_NEWTON_BOUNDED,
             )
     except _BudgetExhausted:
         pass
-    if f.best_params is None:
-        # budget of 0 useful evaluations cannot happen (max_evaluations >= 1),
-        # but guard against an immediate exhaustion edge case anyway
-        f.best_params, f.best_cost = params, evaluate(circuit, params, h, config.init)
     dist = probabilities(prepare(circuit, f.best_params, config.init))
     return VqeResult(
         best_params=f.best_params,
@@ -418,11 +406,5 @@ def profile_evolution(
         if not 0 <= cp < len(result.param_snapshots):
             raise ValueError(f"checkpoint {cp} outside recorded history")
         state = prepare(circuit, result.param_snapshots[cp], init)
-        p = probabilities(state)
-        n = circuit.n
-        probs = np.empty(n)
-        for q in range(n):
-            mask = (np.arange(1 << n) >> q) & 1
-            probs[q] = p[mask == 1].sum()
-        out.append(probs)
+        out.append(excavation_probabilities(state))
     return out

@@ -76,6 +76,13 @@ def test_decompose_rejects_spsa(mini4_path):
                  "--optimizer", "spsa"]) == 1
 
 
+def test_decompose_above_qubit_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide21.pit"
+    path.write_text("rows 3\n" + "0:1 1:1 2:1 3:1 4:1 5:1 6:1\n" * 3)
+    assert main(["decompose", "--instance", str(path), "--gamma", "1"]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_compare_report_csv(mini4_path, tmp_path):
     out = str(tmp_path / "cmp")
     code = main(["compare-optimizers", "--instance", mini4_path,

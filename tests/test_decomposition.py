@@ -29,6 +29,8 @@ from pitvqe.vqe import Optimizer
 
 MINI4 = parse_instance("rows 2\n0:-1 1:2 2:-1\n1:5\n")
 STEP9 = load_instance(bundled_instance_path("step9"))
+# 21 blocks in three rows of 7: small fragments, too many blocks in all
+WIDE21 = parse_instance("rows 3\n" + "0:1 1:1 2:1 3:1 4:1 5:1 6:1\n" * 3)
 
 
 def _basis_states(problems, z):
@@ -177,6 +179,35 @@ def test_scf_deterministic_per_seed():
     r2 = scf_run(STEP9, partition_horizontal(STEP9), gamma, ScfConfig(seed=4))
     assert r1.energy_trace == r2.energy_trace
     assert np.array_equal(r1.final_distribution, r2.final_distribution)
+
+
+@pytest.mark.parametrize("cut", ["rows", "columns"])
+def test_energy_trace_is_total_energy_of_final_states(cut):
+    gamma = Fraction(8, 3)
+    if cut == "rows":
+        part = partition_horizontal(STEP9)
+    else:
+        part = partition_custom(STEP9, {b.id: b.col for b in STEP9.blocks})
+    result = scf_run(STEP9, part, gamma, ScfConfig(seed=3, max_sweeps=40))
+    problems = build_fragment_problems(STEP9, part)
+    assert result.energy_trace[-1] == total_energy(
+        problems, result.final_states, float(gamma)
+    )
+
+
+def test_intra_diagonal_is_cached_and_read_only():
+    fp = build_fragment_problems(STEP9, partition_horizontal(STEP9))[0]
+    diag = fp.intra_diagonal(8 / 3)
+    assert fp.intra_diagonal(8 / 3) is diag
+    with pytest.raises(ValueError, match="read-only"):
+        diag[0] = 0.0
+
+
+def test_scf_checks_qubit_cap_before_sweeping():
+    assert WIDE21.n == 21
+    with pytest.raises(ResourceWarning):
+        scf_run(WIDE21, partition_horizontal(WIDE21), Fraction(1),
+                ScfConfig(max_sweeps=1))
 
 
 def test_single_fragment_scf_tracks_plain_vqe():

@@ -1,5 +1,7 @@
 """Finite shots, readout corruption, mitigation, and distribution distance."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +120,9 @@ def test_mitigate_rejects_singular_model():
 
 def test_bhattacharyya_closed_forms():
     assert bhattacharyya(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
+    # an overlap of exactly 1 gives +0.0, not -0.0
+    d = bhattacharyya(np.array([0.25, 0.75]), np.array([0.25, 0.75]))
+    assert type(d) is float and math.copysign(1.0, d) == 1.0
     d = bhattacharyya(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
     assert d == pytest.approx(-np.log(np.sqrt(0.5)))
     assert bhattacharyya(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == np.inf

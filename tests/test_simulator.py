@@ -14,7 +14,6 @@ from pitvqe.simulator import (
     apply_ry,
     excavation_probabilities,
     expect_diagonal,
-    expect_z,
     init_state,
     probabilities,
 )
@@ -52,8 +51,9 @@ def test_ry_pi_flips_qubit():
 
 
 def test_expect_z_after_half_rotation():
+    # <Z> = 1 - 2 p(|1>), read from the per-qubit marginal
     st_ = apply_ry(init_state(1, InitKind.ALL_ZERO), 0, np.pi / 2)
-    assert expect_z(st_, 0) == pytest.approx(0.0)
+    assert 1.0 - 2.0 * excavation_probabilities(st_)[0] == pytest.approx(0.0)
 
 
 def test_cry_inactive_on_zero_control():

@@ -182,8 +182,6 @@ def test_profile_evolution_checkpoints():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        VqeConfig(init_param_range=(1.0, 1.0))
-    with pytest.raises(ValueError):
         VqeConfig(max_evaluations=0)
     with pytest.raises(ValueError):
         SpsaGains(c=0.0)
