@@ -35,6 +35,7 @@ from .sampling import (
     counts_to_csv,
     distribution_to_csv,
     identity_model,
+    load_readout_model,
     mitigate,
     sample,
 )
@@ -78,31 +79,14 @@ def _resolve_partition(spec: str, lattice: PitLattice) -> Partition:
 
 
 def _resolve_noise(spec: str, n: int) -> ReadoutModel | None:
-    """Noise file: one line ``q<i> p10 p01`` per qubit; unlisted qubits are clean."""
     if spec == "none":
         return None
     if not os.path.exists(spec):
         raise UserError(f"noise model file not found: {spec}")
-    mats = [np.eye(2) for _ in range(n)]
-    with open(spec, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            parts = stripped.split()
-            try:
-                if len(parts) != 3 or not parts[0].startswith("q"):
-                    raise ValueError
-                qubit = int(parts[0][1:])
-                p10, p01 = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise UserError(
-                    f"{spec}:{lineno}: expected 'q<i> p10 p01', got {stripped!r}"
-                )
-            if not 0 <= qubit < n:
-                raise UserError(f"{spec}:{lineno}: qubit {qubit} out of range")
-            mats[qubit] = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
-    return ReadoutModel(tuple(mats))
+    try:
+        return load_readout_model(spec, n)
+    except ValueError as exc:
+        raise UserError(str(exc)) from exc
 
 
 class _OutDir:

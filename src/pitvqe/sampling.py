@@ -1,22 +1,33 @@
 """Finite-shot measurement, synthetic readout noise, and mitigation.
 
 The noise model is a tensor product of per-qubit 2x2 confusion matrices
-M[observed][true]; mitigation solves a simplex-constrained least-squares
-inversion of that channel so mitigated probabilities stay non-negative.
+M[observed][true].  The channel is applied one qubit at a time, O(n 2^n),
+and never formed as a 2^n x 2^n matrix; mitigation solves a
+simplex-constrained least-squares inversion of it so mitigated
+probabilities stay non-negative.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
+from .hamiltonian import QUBIT_CAP
 from .simulator import StateVector, probabilities
 
 # typical transmon readout magnitudes for the synthetic "hardware-like" runs
 DEFAULT_P10 = 0.03  # p(observe 0 | true 1)
 DEFAULT_P01 = 0.015  # p(observe 1 | true 0)
+
+# Shots corrupted at a time: bounds the (shots, n) array of uniform draws.
+_SHOT_CHUNK = 1 << 14
+# Mitigation stops once no probability moves by more than this in one step.
+_MITIGATE_TOL = 1e-14
+# Iterations mitigation may take whatever the condition number promises; a
+# nearly singular channel would otherwise run for days.
+_MITIGATE_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -29,9 +40,10 @@ class Counts:
             raise ValueError("histogram does not sum to the shot count")
 
     def to_distribution(self, n: int) -> np.ndarray:
+        size = len(self.histogram)
         dist = np.zeros(1 << n)
-        for index, count in self.histogram.items():
-            dist[index] = count / self.shots
+        dist[np.fromiter(self.histogram, np.int64, size)] = (
+            np.fromiter(self.histogram.values(), float, size) / self.shots)
         return dist
 
 
@@ -58,11 +70,16 @@ class ReadoutModel:
         return len(self.matrices)
 
     def full_matrix(self) -> np.ndarray:
-        """Channel over all 2^n outcomes; qubit 0 is the least significant bit."""
+        """Dense channel over all 2^n outcomes, the reference the tests check
+        the matrix-free operations against; qubit 0 is the least significant bit."""
         full = np.ones((1, 1))
         for m in self.matrices:  # kron in reverse places qubit 0 at the LSB
             full = np.kron(m, full)
         return full
+
+
+def _flip_matrix(p10: float, p01: float) -> np.ndarray:
+    return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
 
 
 def identity_model(n: int) -> ReadoutModel:
@@ -70,8 +87,36 @@ def identity_model(n: int) -> ReadoutModel:
 
 
 def flip_model(n: int, p10: float = DEFAULT_P10, p01: float = DEFAULT_P01) -> ReadoutModel:
-    m = np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
+    m = _flip_matrix(p10, p01)
     return ReadoutModel(tuple(m for _ in range(n)))
+
+
+def load_readout_model(path, n: int) -> ReadoutModel:
+    """Noise file: one line ``q<i> p10 p01`` per qubit; unlisted qubits are clean.
+
+    ``#`` starts a comment.  A malformed line or a qubit outside [0, n)
+    raises ValueError naming the file and line.
+    """
+    mats = [np.eye(2) for _ in range(n)]
+    with open(path, encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            parts = stripped.split()
+            try:
+                if len(parts) != 3 or not parts[0].startswith("q"):
+                    raise ValueError
+                qubit = int(parts[0][1:])
+                p10, p01 = float(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'q<i> p10 p01', got {stripped!r}"
+                ) from None
+            if not 0 <= qubit < n:
+                raise ValueError(f"{path}:{lineno}: qubit {qubit} out of range")
+            mats[qubit] = _flip_matrix(p10, p01)
+    return ReadoutModel(tuple(mats))
 
 
 def sample(state: StateVector, shots: int, seed: int) -> Counts:
@@ -86,59 +131,113 @@ def sample(state: StateVector, shots: int, seed: int) -> Counts:
     return Counts(shots=shots, histogram=histogram)
 
 
-def corrupt_distribution(dist: np.ndarray, model: ReadoutModel) -> np.ndarray:
-    """Exact action of the confusion channel on a distribution."""
-    dist = np.asarray(dist, dtype=float)
+def _check_model_size(model: ReadoutModel) -> None:
+    if model.n > QUBIT_CAP:
+        raise ResourceWarning(
+            f"readout channel over 2^{model.n} outcomes exceeds cap n <= {QUBIT_CAP}")
+
+
+def _apply_channel(matrices, x: np.ndarray) -> np.ndarray:
+    """Apply the tensor product of per-qubit 2x2 ``matrices`` to ``x``.
+
+    Qubit q is bit q of the index, so axis 1 of the (-1, 2, 2^q) view is
+    that bit; each factor is one batched 2x2 product.
+    """
+    for q, m in enumerate(matrices):
+        x = np.matmul(m, x.reshape(-1, 2, 1 << q))
+    return x.reshape(-1)
+
+
+def _check_outcomes(dist: np.ndarray, model: ReadoutModel) -> None:
     if dist.size != 1 << model.n:
         raise ValueError(
             f"distribution over {dist.size} outcomes, model covers {1 << model.n}"
         )
-    out = dist.reshape([2] * model.n)
-    # axis n-1-q of the reshaped tensor indexes bit q
-    for q, m in enumerate(model.matrices):
-        out = np.moveaxis(np.tensordot(m, out, axes=([1], [model.n - 1 - q])),
-                          0, model.n - 1 - q)
-    return out.reshape(-1)
+
+
+def corrupt_distribution(dist: np.ndarray, model: ReadoutModel) -> np.ndarray:
+    """Exact action of the confusion channel on a distribution."""
+    _check_model_size(model)
+    dist = np.asarray(dist, dtype=float)
+    _check_outcomes(dist, model)
+    return _apply_channel(model.matrices, dist)
 
 
 def corrupt_counts(counts: Counts, model: ReadoutModel, seed: int) -> Counts:
-    """Per-shot stochastic bit flips drawn from the confusion model."""
+    """Per-shot stochastic bit flips drawn from the confusion model.
+
+    Shots are taken in ascending order of their true outcome with one uniform
+    draw per qubit, qubit 0 first; bit q reads 1 when its draw falls below
+    p(observe 1 | true bit q).
+    """
+    _check_model_size(model)
     rng = np.random.default_rng(seed)
-    histogram: dict[int, int] = {}
-    for index in sorted(counts.histogram):
-        for _ in range(counts.histogram[index]):
-            observed = 0
-            for q, m in enumerate(model.matrices):
-                true_bit = (index >> q) & 1
-                bit = int(rng.uniform() < m[1, true_bit])
-                observed |= bit << q
-            histogram[observed] = histogram.get(observed, 0) + 1
-    return Counts(shots=counts.shots, histogram=histogram)
+    outcomes = sorted(counts.histogram)
+    qubits = np.arange(model.n)
+    p_one = np.array([m[1] for m in model.matrices]).reshape(model.n, 2)
+    # each bit's threshold per distinct true outcome, then one row per shot
+    thresholds = p_one[qubits, (np.array(outcomes, dtype=np.int64)[:, None] >> qubits) & 1]
+    rows = np.repeat(np.arange(len(outcomes)), [counts.histogram[i] for i in outcomes])
+    observed = np.empty(rows.size, dtype=np.int64)
+    for start in range(0, rows.size, _SHOT_CHUNK):
+        chunk = thresholds.take(rows[start:start + _SHOT_CHUNK], axis=0)
+        flips = rng.uniform(size=chunk.shape) < chunk
+        observed[start:start + _SHOT_CHUNK] = flips @ (1 << qubits)
+    values, freq = np.unique(observed, return_counts=True)
+    return Counts(shots=counts.shots,
+                  histogram=dict(zip(values.tolist(), freq.tolist(), strict=True)))
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum(x) = 1}, by sorting (Duchi et al. 2008)."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rank = np.flatnonzero(u * np.arange(1, v.size + 1) > excess)[-1]
+    return np.maximum(v - excess[rank] / (rank + 1), 0.0)
 
 
 def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
-    """Invert the confusion channel by simplex-constrained least squares.
+    """Invert the confusion channel by least squares over the probability simplex.
 
-    Minimizes ||A x - p|| subject to x >= 0 and sum(x) = 1, with the equality
-    enforced through a heavily weighted extra row; an exactly corrupted
-    distribution is recovered to machine precision.
+    Minimizes F(x) = ||A x - p||^2 / 2 subject to x >= 0 and sum(x) = 1 by
+    accelerated projected gradient: FISTA with the constant momentum of the
+    strongly convex case (Beck 2017, V-FISTA), A applied one qubit at a time.
+    The extreme eigenvalues of A^T A, L and mu, are products of per-qubit
+    squared singular values, and F(x_k) - F* shrinks as (1 - sqrt(mu/L))^k,
+    which sizes the iteration cap.  Stops once no probability moves by more
+    than 1e-14 in a step; raises FloatingPointError for a singular channel
+    or when the cap is reached first.
     """
-    noisy = np.asarray(noisy, dtype=float)
-    dim = 1 << model.n
-    if noisy.size != dim:
-        raise ValueError(f"distribution over {noisy.size} outcomes, need {dim}")
+    _check_model_size(model)
+    noisy = np.asarray(noisy, dtype=float).reshape(-1)
+    _check_outcomes(noisy, model)
     for k, m in enumerate(model.matrices):
         if abs(np.linalg.det(m)) < 1e-12:
             raise FloatingPointError(f"qubit {k}: confusion matrix is singular")
-    a = model.full_matrix()
-    weight = 1e4
-    stacked = np.vstack([a, weight * np.ones((1, dim))])
-    target = np.concatenate([noisy, [weight]])
-    x, _ = nnls(stacked, target)
-    total = x.sum()
-    if total <= 0:
-        raise FloatingPointError("mitigation produced an empty distribution")
-    return x / total
+    sigmas = [np.linalg.svd(m, compute_uv=False) for m in model.matrices]
+    lipschitz = math.prod(s[0] ** 2 for s in sigmas)
+    mu = math.prod(s[1] ** 2 for s in sigmas)
+    root_kappa = math.sqrt(lipschitz / mu)
+    momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
+    # F(x_0) - F* + mu/2 ||x_0 - x*||^2 <= c0 on the simplex; once
+    # 2 c0 / mu (1 - 1/root_kappa)^k <= (tol / 2)^2 every later iterate lies
+    # within tol / 2 of x*, so a step can no longer exceed tol
+    c0 = 0.5 * (math.sqrt(lipschitz) + float(np.linalg.norm(noisy))) ** 2 + mu
+    bound = math.ceil(root_kappa * math.log(8.0 * c0 / (mu * _MITIGATE_TOL ** 2))) + 1
+    cap = min(bound, _MITIGATE_MAX_ITERATIONS)
+    # the gradient step y - A^T (A y - p) / L, with A^T A / L a tensor product too
+    gram = tuple(m.T @ m / s[0] ** 2 for m, s in zip(model.matrices, sigmas, strict=True))
+    target = _apply_channel(tuple(m.T for m in model.matrices), noisy) / lipschitz
+    x = y = _project_simplex(noisy)
+    for _ in range(cap):
+        x_next = _project_simplex(y - _apply_channel(gram, y) + target)
+        step = float(np.abs(x_next - x).max())
+        if step <= _MITIGATE_TOL:
+            return x_next
+        y = x_next + momentum * (x_next - x)
+        x = x_next
+    raise FloatingPointError(
+        f"mitigation did not converge in {cap} iterations (last step {step:.1e})")
 
 
 def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:

@@ -109,6 +109,21 @@ def test_sample_with_noise_and_mitigation(mini4_path, tmp_path, capsys):
     assert sum(int(line.split(",")[1]) for line in counts[1:]) == 4096
 
 
+def test_sample_mitigates_at_twelve_qubits(tmp_path, capsys):
+    noise = tmp_path / "noise.txt"
+    noise.write_text("q0 0.03 0.015\nq7 0.05 0.02\nq11 0.02 0.04\n")
+    out = str(tmp_path / "shots12")
+    code = main(["sample", "--instance", "stringer12", "--seed", "1",
+                 "--max-evals", "200", "--restarts", "0", "--shots", "2048",
+                 "--noise", str(noise), "--mitigate", "--out", out])
+    assert code == 0
+    assert "p_opt_mit=" in capsys.readouterr().out
+    mitigated = open(os.path.join(out, "mitigated.csv")).read().splitlines()
+    assert mitigated[0] == "bitstring,probability"
+    assert len(mitigated) == 1 + 2**12
+    assert sum(float(line.split(",")[1]) for line in mitigated[1:]) == pytest.approx(1.0)
+
+
 def test_malformed_noise_file_exits_1(mini4_path, tmp_path, capsys):
     noise = tmp_path / "bad.txt"
     noise.write_text("qubit0 0.1\n")

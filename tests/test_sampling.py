@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import nnls
 
 from pitvqe.sampling import (
     Counts,
@@ -16,11 +17,13 @@ from pitvqe.sampling import (
     distribution_to_csv,
     flip_model,
     identity_model,
+    load_readout_model,
     mitigate,
     sample,
 )
 from pitvqe import bundled_instance_path
 from pitvqe.ansatz import build_circuit, prepare
+from pitvqe.hamiltonian import QUBIT_CAP
 from pitvqe.lattice import load_instance
 from pitvqe.simulator import InitKind, apply_ry, init_state, probabilities
 
@@ -116,6 +119,110 @@ def test_mitigate_rejects_singular_model():
     model = ReadoutModel((np.array([[0.5, 0.5], [0.5, 0.5]]),))
     with pytest.raises(FloatingPointError):
         mitigate(np.array([0.5, 0.5]), model)
+
+
+def _asymmetric_model(n, seed):
+    """A different asymmetric confusion matrix on every qubit, so that a
+    transposed kernel or a reversed qubit order changes every result."""
+    rng = np.random.default_rng(seed)
+    p10 = rng.uniform(0.01, 0.08, size=n)
+    p01 = rng.uniform(0.1, 0.15, size=n)
+    return ReadoutModel(tuple(np.array([[1.0 - b, a], [b, 1.0 - a]])
+                              for a, b in zip(p10, p01)))
+
+
+def _corrupt_counts_loop(counts, model, seed):
+    """The per-shot loop corrupt_counts replaced: one draw per shot and qubit."""
+    rng = np.random.default_rng(seed)
+    histogram = {}
+    for index in sorted(counts.histogram):
+        for _ in range(counts.histogram[index]):
+            observed = 0
+            for q, m in enumerate(model.matrices):
+                observed |= int(rng.uniform() < m[1, (index >> q) & 1]) << q
+            histogram[observed] = histogram.get(observed, 0) + 1
+    return histogram
+
+
+def _mitigate_dense(noisy, model):
+    """Dense NNLS on the full channel, the sum constraint as a heavy extra row."""
+    dim = 1 << model.n
+    weight = 1e4
+    x, _ = nnls(np.vstack([model.full_matrix(), weight * np.ones((1, dim))]),
+                np.concatenate([noisy, [weight]]))
+    return x / x.sum()
+
+
+def _sampled(n, seed, shots):
+    rng = np.random.default_rng(seed)
+    histogram = rng.multinomial(shots, rng.dirichlet(np.full(1 << n, 0.3)))
+    return Counts(shots, {int(i): int(c) for i, c in enumerate(histogram) if c})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 10**6), st.integers(1, 400))
+def test_corrupt_counts_matches_the_per_shot_loop(n, seed, shots):
+    counts = _sampled(n, seed, shots)
+    model = _asymmetric_model(n, seed + 1)
+    noisy = corrupt_counts(counts, model, seed + 2)
+    assert noisy.histogram == _corrupt_counts_loop(counts, model, seed + 2)
+    looped = np.zeros(1 << n)
+    for index, count in noisy.histogram.items():
+        looped[index] = count / noisy.shots
+    assert np.array_equal(noisy.to_distribution(n), looped)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10**6))
+def test_corrupt_distribution_matches_the_dense_channel(n, seed):
+    model = _asymmetric_model(n, seed)
+    dist = np.random.default_rng(seed).dirichlet(np.ones(1 << n))
+    assert np.allclose(corrupt_distribution(dist, model),
+                       model.full_matrix() @ dist, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10**6))
+def test_mitigate_matches_dense_nnls(n, seed):
+    model = _asymmetric_model(n, seed)
+    raw = corrupt_counts(_sampled(n, seed, 4096), model, seed).to_distribution(n)
+    assert np.abs(mitigate(raw, model) - _mitigate_dense(raw, model)).max() <= 1e-9
+
+
+def test_mitigate_raises_at_the_iteration_cap():
+    # far from singular (det 2.1e-3), but sqrt(L / mu) is about 480 and the
+    # optimum is interior, so convergence needs more than the cap of 10^4 steps
+    gap = 3e-3
+    m = np.array([[(1 + gap) / 2, (1 - 0.4 * gap) / 2],
+                  [(1 - gap) / 2, (1 + 0.4 * gap) / 2]])
+    model = ReadoutModel((m,))
+    with pytest.raises(FloatingPointError, match="did not converge"):
+        mitigate(corrupt_distribution(np.array([0.4, 0.6]), model), model)
+
+
+def test_readout_channel_checks_qubit_cap_first():
+    model = flip_model(QUBIT_CAP + 1)
+    with pytest.raises(ResourceWarning):
+        corrupt_distribution(np.ones(2), model)
+    with pytest.raises(ResourceWarning):
+        mitigate(np.ones(2), model)
+    with pytest.raises(ResourceWarning):
+        corrupt_counts(Counts(shots=1, histogram={0: 1}), model, seed=0)
+
+
+def test_load_readout_model(tmp_path):
+    path = tmp_path / "noise.txt"
+    path.write_text("# per-qubit flips\nq2 0.03 0.015\n\nq0 0.1 0.2  # noisy\n")
+    model = load_readout_model(path, 3)
+    assert np.array_equal(model.matrices[0], [[0.8, 0.1], [0.2, 0.9]])
+    assert np.array_equal(model.matrices[1], np.eye(2))
+    assert np.array_equal(model.matrices[2], flip_model(1).matrices[0])
+    path.write_text("q0 0.1 0.2\nq1 0.1\n")
+    with pytest.raises(ValueError, match=":2: expected 'q<i> p10 p01', got 'q1 0.1'"):
+        load_readout_model(path, 3)
+    path.write_text("q3 0.1 0.2\n")
+    with pytest.raises(ValueError, match=":1: qubit 3 out of range"):
+        load_readout_model(path, 3)
 
 
 def test_bhattacharyya_closed_forms():
