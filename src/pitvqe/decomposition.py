@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -100,17 +100,29 @@ class FragmentProblem:
 
     def intra_diagonal(self, gamma: float) -> np.ndarray:
         """Profit and intra-fragment penalty terms, cached per gamma and read-only."""
-        diag = self._intra_cache.get(gamma)
-        if diag is None:
-            bits = _local_bits(self.size)
+        return self._terms(gamma)[0]
+
+    def _terms(self, gamma: float):
+        """(intra_diagonal, gamma z_i per child_in pair, 1 - z_j per child_out
+        pair), the parts of ``effective_diagonal`` no mean field changes; the
+        pair terms are (pairs, 2^size) arrays, all read-only."""
+        terms = self._intra_cache.get(gamma)
+        if terms is None:
+            idx = np.arange(1 << self.size, dtype=np.int64)
+            bits = (idx[:, None] >> np.arange(self.size)) & 1  # bit k of index
             diag = -(bits @ np.array(self.profits, dtype=float))
             for child, parent in self.intra_pairs:
                 diag = diag + gamma * bits[:, self.local(child)] * (
                     1 - bits[:, self.local(parent)]
                 )
-            diag.setflags(write=False)
-            self._intra_cache[gamma] = diag
-        return diag
+            children = [self.local(i) for i, _ in self.child_in_pairs]
+            parents = [self.local(j) for _, j in self.child_out_pairs]
+            terms = (diag, gamma * bits[:, children].T,
+                     (1 - bits[:, parents].T).astype(float))
+            for term in terms:
+                term.setflags(write=False)
+            self._intra_cache[gamma] = terms
+        return terms
 
 
 def build_fragment_problems(
@@ -144,11 +156,6 @@ def build_fragment_problems(
     return problems
 
 
-def _local_bits(size: int) -> np.ndarray:
-    idx = np.arange(1 << size, dtype=np.int64)
-    return (idx[:, None] >> np.arange(size)) & 1
-
-
 def _require_fields(mf: Mapping[int, float], blocks) -> None:
     missing = [b for b in blocks if b not in mf]
     if missing:
@@ -167,18 +174,19 @@ def effective_diagonal(
     reported per fragment books each severed pair on the child's side, which
     is what ``include_child_out=False`` computes.
     """
-    bits = _local_bits(fp.size)
-    diag = fp.intra_diagonal(gamma)
+    diag, gamma_z_child, parent_out = fp._terms(gamma)
     _require_fields(mf, [j for _, j in fp.child_in_pairs])
-    for child, parent in fp.child_in_pairs:
-        diag = diag + gamma * bits[:, fp.local(child)] * (1.0 + mf[parent]) / 2.0
+    fields = np.array([mf[j] for _, j in fp.child_in_pairs], dtype=float)
+    terms = [diag[None], gamma_z_child * (1.0 + fields)[:, None] / 2.0]
     if include_child_out:
         _require_fields(mf, [i for i, _ in fp.child_out_pairs])
-        for child, parent in fp.child_out_pairs:
-            diag = diag + gamma * (1.0 - mf[child]) / 2.0 * (
-                1 - bits[:, fp.local(parent)]
-            )
-    return diag
+        fields = np.array([mf[i] for i, _ in fp.child_out_pairs], dtype=float)
+        terms.append((gamma * (1.0 - fields) / 2.0)[:, None] * parent_out)
+    terms = np.concatenate(terms)
+    if len(terms) == 1:
+        return diag
+    # a running sum adds the pair terms one at a time, in pair order
+    return np.add.accumulate(terms)[-1]
 
 
 def effective_cost(
@@ -297,6 +305,50 @@ def _product_distribution(problems, states, n):
     return dist
 
 
+class _FragmentCost:
+    """A fragment's cost under fixed mean fields, as its descent step takes it.
+
+    ``values`` runs a block of parameter rows and ``record`` appends one cost
+    to the fragment's history, so a line search can run its trials as a
+    block; called directly it does both for one row.  It keeps the
+    amplitudes of the fragment's current state and of the rows it ran last,
+    so no parameter vector runs through the circuit twice in one iterate.
+    """
+
+    def __init__(self, fp: FragmentProblem, diag, init, history, state: StateVector,
+                 params: np.ndarray):
+        self.n = fp.size
+        self.program, self.diag, self.init, self.history = (
+            fp.circuit.program, diag, init, history)
+        self._known = [(params, state.amps)]  # (params, amplitudes) pairs
+
+    def _cost(self, amps: np.ndarray) -> float:
+        return float(np.dot(amps * amps, self.diag))
+
+    def _run(self, rows: np.ndarray) -> np.ndarray:
+        amps = self.program.run(rows, self.init)
+        self._known[1:] = zip(rows, amps)
+        return amps
+
+    def values(self, rows: np.ndarray) -> Iterator[float]:
+        return map(self._cost, self._run(rows))
+
+    def record(self, params: np.ndarray, value: float) -> float:
+        self.history.append((len(self.history), value))
+        return value
+
+    def __call__(self, params: np.ndarray) -> float:
+        return self.record(params, self._cost(self.amplitudes(params)))
+
+    def amplitudes(self, params: np.ndarray) -> np.ndarray:
+        """The amplitudes at ``params``: kept ones when its bits match, else run."""
+        key = params.tobytes()
+        for known, amps in self._known:
+            if known.tobytes() == key:
+                return amps
+        return self._run(params[None])[0]
+
+
 def scf_run(
     lattice: PitLattice,
     partition: Partition,
@@ -336,18 +388,12 @@ def scf_run(
         sweep += 1
         for a, (fp, opt) in enumerate(zip(problems, opt_states)):
             diag = effective_diagonal(fp, mf, gamma_f)
-            history = histories[a]
-
-            def f(theta, _diag=diag, _fp=fp, _history=history):
-                state = prepare(_fp.circuit, theta, config.init)
-                value = float(np.dot(probabilities(state), _diag))
-                _history.append((len(_history), value))
-                return value
+            cost = _FragmentCost(fp, diag, config.init, histories[a], states[a], opt.params)
 
             def grad(theta, _diag=diag, _fp=fp):
                 return gradient_adjoint(_fp.circuit, theta, _diag, config.init)
 
-            opt.iterate(f, grad, refresh=multi)
+            opt.iterate(cost, grad, refresh=multi)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params, BOUNDS[1])
             kicked = boundary_kick(
@@ -356,7 +402,8 @@ def scf_run(
             if not np.array_equal(kicked, opt.params):
                 opt.params = kicked
                 opt.fx = None  # force re-evaluation next iteration
-            states[a] = prepare(fp.circuit, opt.params, config.init)
+            # the accepted trial's amplitudes, unless projection or kick moved it
+            states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
             mf.update(fragment_mean_fields(fp, states[a]))
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side

@@ -66,18 +66,34 @@ class DiagonalCost:
         return cached
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=4)
 def _index_table(lattice: PitLattice) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-basis-index profit and violation counts (cached)."""
+    """Per-basis-index profit and violation counts, int64 (cached).
+
+    Built bit by bit by doubling: bit k's half of the table is the lower half
+    plus w_k, and each pair whose higher index is k adds its term to the half
+    where it applies, so no 2^n x n bit matrix is formed.  A few lattices
+    stay cached; each pair of 2^20 tables takes 16 MB.
+    """
     n = lattice.n
     if n > QUBIT_CAP:
         raise ResourceWarning(f"enumeration needs 2^{n} entries (cap {QUBIT_CAP})")
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    p = bits @ np.asarray(lattice.profits, dtype=np.int64)
+    p = np.zeros(1 << n, dtype=np.int64)
     s = np.zeros(1 << n, dtype=np.int64)
-    for i, j in lattice.pairs():
-        s += bits[:, i] * (1 - bits[:, j])
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for child, parent in lattice.pairs():
+        pairs_at[max(child, parent)].append((child, parent))
+    for k, w in enumerate(lattice.profits):
+        low, high = slice(0, 1 << k), slice(1 << k, 2 << k)
+        p[high] = p[low] + w
+        s[high] = s[low]
+        for child, parent in pairs_at[k]:
+            # z_child (1 - z_parent): the other block's bit picks every other
+            # run of its 2^bit indices in the half where z_k makes the term live
+            if child == k:  # z_k = 1, parent bit 0
+                s[high].reshape(-1, 2, 1 << parent)[:, 0] += 1
+            else:  # parent == k: z_k = 0, child bit 1
+                s[low].reshape(-1, 2, 1 << child)[:, 1] += 1
     return p, s
 
 

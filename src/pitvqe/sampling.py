@@ -141,10 +141,13 @@ def _apply_channel(matrices, x: np.ndarray) -> np.ndarray:
     """Apply the tensor product of per-qubit 2x2 ``matrices`` to ``x``.
 
     Qubit q is bit q of the index, so axis 1 of the (-1, 2, 2^q) view is
-    that bit; each factor is one batched 2x2 product.
+    that bit; each factor is one batched 2x2 product.  For qubit 0 a batched
+    product would be 2^(n-1) separate 2x2 by 2x1 products, so that factor is
+    one contraction.
     """
     for q, m in enumerate(matrices):
-        x = np.matmul(m, x.reshape(-1, 2, 1 << q))
+        x = x.reshape(-1, 2, 1 << q)
+        x = np.einsum("ob,kbl->kol", m, x) if q == 0 else np.matmul(m, x)
     return x.reshape(-1)
 
 
@@ -253,31 +256,46 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
     return float(-np.log(coeff)) if coeff < 1.0 else 0.0
 
 
-# Rows formatted at a time.  Chunk strings of about 32 kB stay below the size
-# the allocator maps separately, so one chunk's memory serves the next and the
-# peak stays below that of formatting every row at once.
-_CSV_CHUNK = 1 << 10
+# Rows formatted at a time, 2^10.  Chunk strings of about 32 kB stay below the
+# size the allocator maps separately, so one chunk's memory serves the next and
+# the peak stays below that of formatting every row at once.
+_CSV_CHUNK_BITS = 10
+_CSV_CHUNK = 1 << _CSV_CHUNK_BITS
 
 
-def _csv(header: str, indices: np.ndarray, values: np.ndarray, n: int, fmt: str) -> str:
-    """``header``, then one ``bitstring,value`` row per basis index (qubit 0 first)."""
-    parts = [header + "\n"]
-    for start in range(0, len(indices), _CSV_CHUNK):
-        chunk = indices[start:start + _CSV_CHUNK]
-        chars = ((chunk[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-        labels = chars.view(f"S{n}").ravel().astype(str).tolist()
-        cells = values[start:start + _CSV_CHUNK].tolist()
-        parts.append("".join(f"{bits},{v:{fmt}}\n"
-                             for bits, v in zip(labels, cells, strict=True)))
-    return "".join(parts)
+def _labels(indices: np.ndarray, n: int) -> list[str]:
+    """The bitstring of each basis index, qubit 0 first."""
+    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    return chars.view(f"S{n}").ravel().astype(str).tolist()
 
 
 def counts_to_csv(counts: Counts, n: int) -> str:
+    """One ``bitstring,count`` row per observed outcome; each chunk of rows is
+    one %-format over its labels and counts, interleaved."""
     indices = sorted(counts.histogram)
-    values = np.array([counts.histogram[i] for i in indices], dtype=np.int64)
-    return _csv("bitstring,count", np.array(indices, dtype=np.int64), values, n, "")
+    parts = ["bitstring,count\n"]
+    for start in range(0, len(indices), _CSV_CHUNK):
+        chunk = indices[start:start + _CSV_CHUNK]
+        cells = [None] * (2 * len(chunk))
+        cells[0::2] = _labels(np.array(chunk, dtype=np.int64), n)
+        cells[1::2] = [counts.histogram[i] for i in chunk]
+        parts.append("%s,%d\n" * len(chunk) % tuple(cells))
+    return "".join(parts)
 
 
 def distribution_to_csv(dist: np.ndarray, n: int) -> str:
-    return _csv("bitstring,probability", np.arange(1 << n),
-                np.asarray(dist)[: 1 << n], n, ".12g")
+    """One ``bitstring,probability`` row per basis index, qubit 0 first.
+
+    A chunk of 2^10 rows shares its high bits, so one template of the low
+    bits' labels, with each chunk's high bits filled in, is a %-format over
+    the chunk's values alone.
+    """
+    low = min(n, _CSV_CHUNK_BITS)
+    template = "".join(f"{label}|,%.12g\n" for label in _labels(np.arange(1 << low), low))
+    values = np.asarray(dist)[: 1 << n]
+    parts = ["bitstring,probability\n"]
+    for chunk in range(1 << (n - low)):
+        high = "".join("01"[(chunk >> k) & 1] for k in range(n - low))
+        cells = values[chunk << low:(chunk + 1) << low].tolist()
+        parts.append(template.replace("|", high) % tuple(cells))
+    return "".join(parts)

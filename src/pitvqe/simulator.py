@@ -6,7 +6,8 @@ real throughout; basis index bit i is z_i with qubit 0 least significant.
 ``apply_ry`` and ``apply_cry`` act gate by gate on a ``StateVector``.  A whole
 circuit runs as a ``Program``: its leading Ry layer is built directly as a
 product state, and the remaining gates act through index pairs computed once
-per program.  The same program gives the exact gradient by a reverse sweep.
+per program.  A program runs a block of parameter rows at once, each row
+bitwise as it runs alone, and gives the exact gradient by a reverse sweep.
 """
 
 from __future__ import annotations
@@ -25,12 +26,19 @@ class InitKind(Enum):
     SUPERPOSITION = "plus"
 
 
-# The single-qubit state each initial product state is made of.
-_INIT_VECTOR = {
-    InitKind.ALL_ZERO: (1.0, 0.0),
-    InitKind.ALL_ONE: (0.0, 1.0),
-    InitKind.SUPERPOSITION: (np.sqrt(0.5), np.sqrt(0.5)),
+# Per initial single-qubit state (u0, u1), the matrix ((u0, -u1), (u1, u0))
+# that takes (cos, sin) of theta/2 to Ry(theta) (u0, u1).
+_INIT_MATRIX = {
+    kind: np.array(((u0, -u1), (u1, u0)))
+    for kind, (u0, u1) in (
+        (InitKind.ALL_ZERO, (1.0, 0.0)),
+        (InitKind.ALL_ONE, (0.0, 1.0)),
+        (InitKind.SUPERPOSITION, (np.sqrt(0.5), np.sqrt(0.5))),
+    )
 }
+
+# Ry(t) = ((c, -s), (s, c)) from ((c, s), (s, c)): the sign of each entry.
+_ROTATION_SIGN = np.array((((1.0,), (-1.0,)), ((1.0,), (1.0,))))
 
 
 class StateVector:
@@ -131,6 +139,12 @@ class Program:
         self.n = n
         self.layer_param = np.asarray(layer_param, dtype=np.intp)
         self.tail_param = np.asarray(tail_param, dtype=np.intp)
+        # where each gate's cos and sin of the half angle sit in a row of
+        # (cos, sin) pairs whose first pair is the zero angle (index -1)
+        cos_at = 2 * (self.layer_param + 1)
+        self._layer_trig = np.array((cos_at, cos_at + 1))  # (2, n): c, s
+        cos_at = 2 * (self.tail_param + 1)
+        self._tail_trig = np.array(((cos_at, cos_at + 1), (cos_at + 1, cos_at)))
         index = np.arange(1 << n)
         self.tail_pairs = []
         for control, target in zip(tail_control, tail_target):
@@ -141,32 +155,53 @@ class Program:
                 _check_pair(n, control, target)
                 lo = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
             self.tail_pairs.append(np.stack((lo, lo | (1 << target))))
+        # per block size, each gate's pairs offset into the flattened rows
+        self._block_pairs = {1: [pairs[None] for pairs in self.tail_pairs]}
 
-    def _forward(self, params: np.ndarray, init: InitKind):
-        """Run the circuit; returns (v, prefixes, rotations, amplitudes).
+    def _pairs_for(self, b: int) -> list[np.ndarray]:
+        """Each tail gate's (b, 2, m) pairs into ``b`` rows laid end to end."""
+        pairs = self._block_pairs.get(b)
+        if pairs is None:
+            offsets = (np.arange(b) << self.n)[:, None, None]
+            pairs = self._block_pairs[b] = [p + offsets for p in self.tail_pairs]
+        return pairs
 
-        ``v[:, q]`` is qubit q's state after its leading Ry and
-        ``prefixes[q]`` the product state of qubits below q.
+    def _forward(self, rows: np.ndarray, init: InitKind):
+        """Run the circuit on a (B, P) block of parameter rows.
+
+        Returns (v, prefixes, rotations, amplitudes): ``v[:, :, q]`` is qubit
+        q's state after its leading Ry, ``prefixes[q]`` the (B, 1, 2^q)
+        product state of qubits below q, ``rotations[k]`` tail gate k's
+        (B, 2, 2) matrices, and the amplitudes are (B, 2^n).  Each row goes
+        through the ops, shapes and strides of a block of one, so every row
+        is bitwise what running it alone gives.
         """
-        # a trailing zero angle stands in for a qubit without a leading Ry
-        half = np.append(params, 0.0) / 2.0
-        c, s = np.cos(half), np.sin(half)
-        u0, u1 = _INIT_VECTOR[init]
-        layer = np.array((c[self.layer_param], s[self.layer_param]))
-        v = np.array(((u0, -u1), (u1, u0))) @ layer  # Ry(theta_q) (u0, u1)
-        prefixes = [np.ones(1)]
-        for q in range(self.n):  # concatenate((v0 * prefix, v1 * prefix))
-            prefixes.append((v[:, q, None] * prefixes[-1]).reshape(-1))
-        amps = prefixes.pop()
-        c, s = c[self.tail_param], s[self.tail_param]
-        rotations = np.array(((c, -s), (s, c))).transpose(2, 0, 1)
-        for pairs, rot in zip(self.tail_pairs, rotations):
-            amps[pairs] = rot @ amps[pairs]
+        b = len(rows)
+        half = np.zeros((b, rows.shape[1] + 1, 1))
+        half[:, 1:, 0] = rows
+        half /= 2.0
+        # per row (cos, sin) of each half angle, the zero angle first
+        trig = np.concatenate((np.cos(half), np.sin(half)), axis=2).reshape(b, -1)
+        v = _INIT_MATRIX[init] @ trig.take(self._layer_trig, axis=1)
+        prefixes = [np.ones((b, 1, 1))]
+        for state in v.transpose(2, 0, 1)[..., None]:  # (v0 * prefix, v1 * prefix)
+            prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
+        amps = prefixes.pop().reshape(b, -1)
+        flat = amps.reshape(-1)
+        # stored (B, 2, 2, K), so a gate's 2x2 has the strides of a single row's
+        rotations = trig.take(self._tail_trig, axis=1) * _ROTATION_SIGN
+        rotations = rotations.transpose(3, 0, 1, 2)
+        for rot, pairs in zip(rotations, self._pairs_for(b)):
+            flat[pairs] = rot @ flat.take(pairs)
         return v, prefixes, rotations, amps
+
+    def run(self, rows: np.ndarray, init: InitKind) -> np.ndarray:
+        """The bound circuit on a (B, P) block of parameter rows: (B, 2^n) amplitudes."""
+        return self._forward(rows, init)[3]
 
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit applied to the initial product state."""
-        return self._forward(params, init)[3]
+        return self.run(params[None], init)[0]
 
     def gradient(self, params: np.ndarray, diag: np.ndarray, init: InitKind) -> np.ndarray:
         """Exact gradient of <psi|diag|psi> by one reverse sweep.
@@ -177,12 +212,14 @@ class Program:
         lam moves the sweep one gate back.  The leading layer's terms come
         from contracting lam with the product state from the top qubit down.
         """
-        v, prefixes, rotations, phi = self._forward(params, init)
+        v, prefixes, rotations, phi = self._forward(params[None], init)
+        v, rotations, phi = v[0], rotations[:, 0], phi[0]
+        prefixes = [prefix[0, 0] for prefix in prefixes]
         lam = diag * phi
         grad = np.zeros(params.size)
         for k in range(len(self.tail_pairs) - 1, -1, -1):
             pairs = self.tail_pairs[k]
-            a, l = phi[pairs], lam[pairs]
+            a, l = phi.take(pairs), lam.take(pairs)
             grad[self.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
             back = rotations[k].T
             phi[pairs] = back @ a

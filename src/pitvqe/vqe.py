@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,10 @@ SPSA_GAINS = SpsaGains()  # a and A are set per run: calibrated a, A = 1% of bud
 INIT_PARAM_RANGE = (-np.pi / 10, np.pi / 10)  # initial parameters drawn uniformly
 TOLERANCE = 1e-6  # spread of the last accepted costs that counts as converged
 GRAD_TOLERANCE = 1e-3  # stationarity check for the descent methods
+# Amplitudes a line search runs at once: its trial points go through the
+# circuit in blocks of 256 >> n rows, so circuits of 9 or more qubits run one
+# trial at a time.
+BLOCK_AMPLITUDES = 256
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,14 @@ class _Evaluator:
 
     A cost evaluation costs 1 and gets one trace row.  A gradient costs 2P,
     what a central-difference or parameter-shift gradient takes, charged in
-    full or not at all; it adds no trace rows.
+    full or not at all; it adds no trace rows.  ``values`` runs a block of
+    parameter rows and charges nothing; ``record`` then charges and records
+    one of them, so a line search pays only for the trials it reaches.
     """
 
     def __init__(self, circuit, h, init, budget):
         self.circuit, self.h, self.init = circuit, h, init
+        self.n = circuit.n
         self.budget = budget
         self.used = 0
         self.history: list[tuple[int, float]] = []
@@ -96,9 +103,16 @@ class _Evaluator:
             raise _BudgetExhausted
         self.used += evaluations
 
-    def __call__(self, params: np.ndarray) -> float:
+    def values(self, rows: np.ndarray) -> Iterator[float]:
+        """Costs of a (B, P) block of parameter rows, each taken by one
+        ``np.dot`` as ``expect_diagonal`` takes it when the caller reaches
+        it; charges and records nothing."""
+        diag = self.h.dense_diagonal()
+        return (float(np.dot(a * a, diag))
+                for a in self.circuit.program.run(rows, self.init))
+
+    def record(self, params: np.ndarray, value: float) -> float:
         self._charge(1)
-        value = evaluate(self.circuit, params, self.h, self.init)
         if not np.isfinite(value):
             raise FloatingPointError(
                 f"non-finite cost {value} at parameters {params!r}"
@@ -109,6 +123,10 @@ class _Evaluator:
             self.best_cost = value
             self.best_params = np.array(params)
         return value
+
+    def __call__(self, params: np.ndarray) -> float:
+        params = self.circuit.bind(params)
+        return self.record(params, next(self.values(params[None])))
 
     def gradient(self, params: np.ndarray) -> np.ndarray:
         self._charge(2 * params.size)
@@ -203,15 +221,29 @@ def _line_search(
 ):
     """Backtracking Armijo search along direction, projected into bounds.
 
+    Trial steps t0 shrink^j run in blocks of ``BLOCK_AMPLITUDES >> f.n``
+    rows when ``f`` has ``values`` (a block's costs, no side effects) and
+    ``record`` (charge and record one cost); acceptance and ``record`` then
+    replay trial by trial, so rows past the accepted trial count for nothing.
+    A plain callable is a block of one that records as it evaluates.
+
     Returns (new_params, new_cost, accepted_step).
     """
+    if hasattr(f, "values"):
+        rows, values, record = max(1, BLOCK_AMPLITUDES >> f.n), f.values, f.record
+    else:  # a plain callable: a block of one that records as it evaluates
+        rows, values, record = 1, lambda block: [f(block[0])], lambda cand, fc: fc
     t = t0
-    for _ in range(tries):
-        cand = _project(params + t * direction, bounds)
-        fc = f(cand)
-        if fc <= fx + c1 * slope * t or fc < fx - 1e-15:
-            return cand, fc, t
-        t *= shrink
+    for start in range(0, tries, rows):
+        steps = []
+        for _ in range(min(rows, tries - start)):
+            steps.append(t)
+            t *= shrink
+        cands = _project(params + np.array(steps)[:, None] * direction, bounds)
+        for step, cand, fc in zip(steps, cands, values(cands)):
+            fc = record(cand, fc)
+            if fc <= fx + c1 * slope * step or fc < fx - 1e-15:
+                return cand, fc, step
     return params, fx, t
 
 
@@ -222,7 +254,9 @@ class DescentState:
     backtracking line search, curvature update) from the cost ``f`` and its
     gradient ``grad``, keeping every parameter inside ``bounds`` (lo, hi) unless
     it is None.  Both the batch VQE loop (unbounded) and the per-fragment
-    self-consistent sweep (bounded) drive this same object.
+    self-consistent sweep (bounded) drive this same object.  The gradient at
+    an accepted point is taken when first read: by the curvature update, the
+    stationarity check, or the next iterate unless that one refreshes.
     """
 
     def __init__(self, params, bounds: tuple[float, float] | None, quasi_newton: bool):
@@ -231,11 +265,20 @@ class DescentState:
         self.quasi_newton = quasi_newton
         self.H = np.eye(self.params.size)
         self.fx: float | None = None
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._pending = None  # (grad, params) of a gradient not taken yet
         self.accepted: list[float] = []
         # gradient descent grows the trial step after successful searches so
         # flat directions with tiny gradients still make O(1) progress
         self.step_scale = 1.0
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient at the last accepted point, taken on first read."""
+        if self._pending is not None:
+            grad, params = self._pending
+            self._grad, self._pending = grad(params), None
+        return self._grad
 
     def iterate(self, f, grad, refresh: bool = False) -> bool:
         """Advance one iteration; returns True when converged.
@@ -245,18 +288,19 @@ class DescentState:
         """
         if self.fx is None or refresh:
             self.fx = f(self.params)
-            self.grad = grad(self.params)
+            self._grad, self._pending = grad(self.params), None
             if not self.accepted:
                 self.accepted.append(self.fx)
+        g = self.grad
         if self.quasi_newton:
-            direction = -self.H @ self.grad
-            if np.dot(direction, self.grad) >= 0:
+            direction = -self.H @ g
+            if np.dot(direction, g) >= 0:
                 self.H = np.eye(self.params.size)
-                direction = -self.grad
+                direction = -g
         else:
-            direction = -self.grad
-        slope = float(np.dot(self.grad, direction))
-        if abs(slope) < 1e-14 and np.linalg.norm(self.grad) < 1e-9:
+            direction = -g
+        slope = float(np.dot(g, direction))
+        if abs(slope) < 1e-14 and np.linalg.norm(g) < 1e-9:
             return True
         t0 = self.step_scale if not self.quasi_newton else 1.0
         new_params, new_fx, t = _line_search(
@@ -266,17 +310,17 @@ class DescentState:
             self.step_scale = min(max(t * 4.0, 1.0), 1e15)
         if new_fx >= self.fx - 1e-15 and np.allclose(new_params, self.params):
             return True
-        new_grad = grad(new_params)
+        old_params = self.params
+        self.params, self.fx, self._pending = new_params, new_fx, (grad, new_params)
         if self.quasi_newton:
-            s = new_params - self.params
-            y = new_grad - self.grad
+            s = new_params - old_params
+            y = self.grad - g
             sy = float(np.dot(s, y))
             if sy > 1e-12:
                 rho = 1.0 / sy
                 I = np.eye(s.size)
                 V = I - rho * np.outer(s, y)
                 self.H = V @ self.H @ V.T + rho * np.outer(s, s)
-        self.params, self.fx, self.grad = new_params, new_fx, new_grad
         self.accepted.append(new_fx)
         # a flat cost window alone can fire while crawling out of a saddle,
         # so also require approximate stationarity

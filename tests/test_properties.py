@@ -1,5 +1,7 @@
 """Property tests: the compiled engine and its adjoint gradient against the
-gate-by-gate kernels and central differences, and the evaluation budget."""
+gate-by-gate kernels and central differences, the evaluation budget, blocks
+of rows against single runs, block line searches against plain callables,
+and the cost tables against per-bitstring sums."""
 
 from fractions import Fraction
 
@@ -10,14 +12,26 @@ from hypothesis.extra.numpy import arrays
 
 from pitvqe.ansatz import ControlledRy, ParamCircuit, SingleRy, build_circuit, prepare
 from pitvqe.decomposition import (
+    ScfConfig,
     build_fragment_problems,
     effective_diagonal,
     partition_custom,
+    partition_horizontal,
+    scf_run,
 )
-from pitvqe.hamiltonian import DiagonalCost
-from pitvqe.lattice import make_lattice
+from pitvqe.hamiltonian import DiagonalCost, _index_table, index_to_bits
+from pitvqe.lattice import Block, PitLattice, make_lattice, profit, smoothness
 from pitvqe.simulator import InitKind, apply_cry, apply_ry, init_state
-from pitvqe.vqe import Optimizer, VqeConfig, gradient_adjoint, gradient_fd, run
+from pitvqe.vqe import (
+    DescentState,
+    Optimizer,
+    VqeConfig,
+    _BudgetExhausted,
+    _Evaluator,
+    gradient_adjoint,
+    gradient_fd,
+    run,
+)
 
 MAX_BLOCKS = 8
 
@@ -71,9 +85,7 @@ def test_adjoint_matches_central_differences_on_the_vqe_cost(data, lattice, gamm
 @given(st.data(), lattices(), gammas, inits)
 def test_adjoint_matches_central_differences_on_a_fragment_cost(data, lattice, gamma,
                                                                 init):
-    labels = data.draw(st.lists(st.integers(0, 2), min_size=lattice.n, max_size=lattice.n))
-    used = {f: k for k, f in enumerate(sorted(set(labels)))}
-    partition = partition_custom(lattice, {b: used[f] for b, f in enumerate(labels)})
+    partition = _random_partition(data, lattice)
     fields = data.draw(st.lists(st.floats(-1, 1), min_size=lattice.n, max_size=lattice.n))
     mf = dict(enumerate(fields))
     for fp in build_fragment_problems(lattice, partition):
@@ -82,6 +94,38 @@ def test_adjoint_matches_central_differences_on_a_fragment_cost(data, lattice, g
         got = gradient_adjoint(fp.circuit, params, diag, init)
         want = gradient_fd(fp.circuit, params, _DenseCost(diag), init)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def _random_partition(data, lattice):
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=lattice.n, max_size=lattice.n))
+    used = {f: k for k, f in enumerate(sorted(set(labels)))}
+    return partition_custom(lattice, {b: used[f] for b, f in enumerate(labels)})
+
+
+def _effective_diagonal_by_pairs(fp, mf, gamma, include_child_out):
+    """``effective_diagonal`` built one pair at a time from the bit table."""
+    bits = (np.arange(1 << fp.size)[:, None] >> np.arange(fp.size)) & 1
+    diag = -(bits @ np.array(fp.profits, dtype=float))
+    for child, parent in fp.intra_pairs:
+        diag = diag + gamma * bits[:, fp.local(child)] * (1 - bits[:, fp.local(parent)])
+    for child, parent in fp.child_in_pairs:
+        diag = diag + gamma * bits[:, fp.local(child)] * (1.0 + mf[parent]) / 2.0
+    if include_child_out:
+        for child, parent in fp.child_out_pairs:
+            diag = diag + gamma * (1.0 - mf[child]) / 2.0 * (1 - bits[:, fp.local(parent)])
+    return diag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), lattices(), gammas, st.booleans())
+def test_effective_diagonal_adds_pair_terms_in_order(data, lattice, gamma,
+                                                     include_child_out):
+    fields = data.draw(st.lists(st.floats(-1, 1), min_size=lattice.n, max_size=lattice.n))
+    mf = dict(enumerate(fields))
+    for fp in build_fragment_problems(lattice, _random_partition(data, lattice)):
+        got = effective_diagonal(fp, mf, float(gamma), include_child_out)
+        want = _effective_diagonal_by_pairs(fp, mf, float(gamma), include_child_out)
+        assert got.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -151,3 +195,110 @@ def test_non_finite_gradient_raises():
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
         gradient_adjoint(circuit, np.full(circuit.param_count, 0.3), diag,
                          InitKind.SUPERPOSITION)
+
+
+@st.composite
+def shuffled_lattices(draw):
+    """1 to 12 blocks on up to four rows of six columns, listed in any order,
+    so a parent's index can exceed its child's and columns can leave blocks
+    without parents."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                          min_size=1, max_size=12, unique=True))
+    blocks = tuple(Block(id=k, row=r, col=c, profit=draw(st.integers(-9, 9)))
+                   for k, (r, c) in enumerate(cells))
+    return PitLattice(blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_lattices())
+def test_index_table_matches_per_bitstring_sums(lattice):
+    p, s = _index_table(lattice)
+    assert p.dtype == s.dtype == np.int64
+    for z in range(1 << lattice.n):
+        bits = index_to_bits(z, lattice.n)
+        assert p[z] == profit(lattice, bits)
+        assert s[z] == smoothness(lattice, bits)
+
+
+def test_index_table_of_one_block_and_of_an_orphan_row():
+    p, s = _index_table(make_lattice([[(0, 5)]]))
+    assert p.tolist() == [0, 5] and s.tolist() == [0, 0]
+    # the second row sits two columns away: its block has no parent
+    lattice = make_lattice([[(0, 1)], [(2, -3)]])
+    assert lattice.pairs() == []
+    p, s = _index_table(lattice)
+    assert p.tolist() == [0, 1, -3, -2] and s.tolist() == [0, 0, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.one_of(hand_circuits(), lattices().map(build_circuit)), inits,
+       st.integers(1, 20))
+def test_block_rows_equal_single_runs_bitwise(data, circuit, init, rows):
+    block = data.draw(arrays(np.float64, (rows, circuit.param_count),
+                             elements=st.floats(-np.pi, np.pi)))
+    amps = circuit.program.run(block, init)
+    assert amps.shape == (rows, 1 << circuit.n)
+    for row, got in zip(block, amps):
+        assert got.tobytes() == prepare(circuit, row, init).amps.tobytes()
+
+
+def _descend(f, grad, params, bounds, quasi_newton, iterates=40):
+    """Iterate until convergence, budget exhaustion or ``iterates`` steps;
+    returns the state and the number of the iterate that ran out of budget."""
+    state = DescentState(params, bounds, quasi_newton)
+    for k in range(iterates):
+        try:
+            if state.iterate(f, grad):
+                break
+        except _BudgetExhausted:
+            return state, k
+    return state, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), lattices(), gammas, inits, st.booleans(), st.booleans(),
+       st.integers(1, 400))
+def test_block_line_search_matches_a_plain_callable(data, lattice, gamma, init,
+                                                    quasi_newton, bounded, budget):
+    circuit = build_circuit(lattice)
+    h = DiagonalCost(lattice, gamma)
+    params = data.draw(angles(circuit.param_count))
+    bounds = (0.0, np.pi) if bounded else None
+    block = _Evaluator(circuit, h, init, budget)
+    plain = _Evaluator(circuit, h, init, budget)
+    got, got_stop = _descend(block, block.gradient, params, bounds, quasi_newton)
+    want, want_stop = _descend(lambda theta: plain(theta), plain.gradient, params,
+                               bounds, quasi_newton)
+    assert got_stop == want_stop
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got.fx == want.fx and got.accepted == want.accepted
+    assert block.history == plain.history and block.used == plain.used
+    assert [a.tobytes() for a in block.snapshots] == [a.tobytes() for a in plain.snapshots]
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattices(), gammas, inits, st.sampled_from([Optimizer.GRADIENT_DESCENT,
+                                                   Optimizer.QUASI_NEWTON_BOUNDED]),
+       st.booleans(), st.integers(0, 2**31))
+def test_scf_with_a_plain_objective_matches_the_block_run(lattice, gamma, init,
+                                                          optimizer, by_rows, seed):
+    if by_rows:
+        partition = partition_horizontal(lattice)
+    else:
+        partition = partition_custom(lattice, {b.id: b.col for b in lattice.blocks})
+    config = ScfConfig(init=init, optimizer=optimizer, seed=seed, max_sweeps=15)
+    want = scf_run(lattice, partition, gamma, config)
+    iterate = DescentState.iterate
+
+    def plain_iterate(self, f, *args, **kwargs):
+        return iterate(self, lambda theta: f(theta), *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DescentState, "iterate", plain_iterate)
+        got = scf_run(lattice, partition, gamma, config)
+    assert (got.sweeps, got.converged) == (want.sweeps, want.converged)
+    assert got.energy_trace == want.energy_trace and got.traces == want.traces
+    assert got.fragment_histories == want.fragment_histories
+    assert got.final_distribution.tobytes() == want.final_distribution.tobytes()
+    assert [s.amps.tobytes() for s in got.final_states] == [
+        s.amps.tobytes() for s in want.final_states]

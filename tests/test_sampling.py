@@ -261,14 +261,15 @@ def _bits(index, n):
     return "".join(str((index >> q) & 1) for q in range(n))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", [*range(1, 7), 11])
 def test_csv_bytes_match_the_per_row_format(n):
     rng = np.random.default_rng(n)
     dist = rng.uniform(size=1 << n)
-    dist[: min(3, 1 << n)] = [0.0, 1e-300, 1.0][: 1 << n]
+    special = [0.0, 5e-324, 1e-300, 1.0]  # zero, subnormal, tiny, one
+    dist[: min(4, 1 << n)] = special[: 1 << n]
     want = "".join(f"{_bits(i, n)},{dist[i]:.12g}\n" for i in range(1 << n))
     assert distribution_to_csv(dist, n) == "bitstring,probability\n" + want
-    histogram = {int(i): int(rng.integers(1, 9))
+    histogram = {int(i): int(rng.integers(1, 2**40))
                  for i in rng.choice(1 << n, size=min(5, 1 << n), replace=False)}
     counts = Counts(shots=sum(histogram.values()), histogram=histogram)
     want = "".join(f"{_bits(i, n)},{histogram[i]}\n" for i in sorted(histogram))

@@ -12,6 +12,7 @@ from pitvqe.lattice import load_instance, parse_instance
 from pitvqe.oracle import enumerate_lattice, p_opt
 from pitvqe.simulator import InitKind
 from pitvqe.vqe import (
+    DescentState,
     Optimizer,
     SpsaGains,
     VqeConfig,
@@ -185,3 +186,41 @@ def test_config_validation():
         VqeConfig(max_evaluations=0)
     with pytest.raises(ValueError):
         SpsaGains(c=0.0)
+
+
+class _Counted:
+    """Cost and gradient of the mini4 VQE problem, counting gradient calls."""
+
+    def __init__(self, problem):
+        self.circuit, self.h, _ = problem
+        self.gradients = 0
+
+    def cost(self, theta):
+        return evaluate(self.circuit, theta, self.h, InitKind.SUPERPOSITION)
+
+    def grad(self, theta):
+        self.gradients += 1
+        return gradient_fd(self.circuit, theta, self.h, InitKind.SUPERPOSITION)
+
+
+@pytest.mark.parametrize("quasi_newton", [False, True])
+def test_refreshing_descent_takes_the_gradients_it_reads(mini4_problem, quasi_newton):
+    problem = _Counted(mini4_problem)
+    state = DescentState(np.full(problem.circuit.param_count, 0.3), (0.0, np.pi),
+                         quasi_newton)
+    for _ in range(5):
+        before = problem.gradients
+        state.iterate(problem.cost, problem.grad, refresh=True)
+        # the refresh gradient, plus the new point's for the curvature update;
+        # gradient descent reads the new one only when its cost window is flat
+        assert problem.gradients - before == (2 if quasi_newton else 1)
+
+
+def test_pending_gradient_is_taken_at_the_accepted_point(mini4_problem):
+    problem = _Counted(mini4_problem)
+    state = DescentState(np.full(problem.circuit.param_count, 0.3), None, False)
+    state.iterate(problem.cost, problem.grad)
+    accepted = state.params.copy()
+    state.params = accepted + 0.25  # moved by the caller, as a projection does
+    assert problem.gradients == 1
+    np.testing.assert_array_equal(state.grad, problem.grad(accepted))
