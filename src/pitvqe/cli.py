@@ -65,9 +65,12 @@ def _resolve_gamma(text: str, lattice: PitLattice) -> Fraction:
     if text == "auto":
         return penalty_heuristic(lattice)
     try:
-        return Fraction(text)
+        gamma = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UserError(f"--gamma must be a rational like 53/3 or 'auto', got {text!r}")
+    if gamma < 0:
+        raise UserError(f"--gamma must be non-negative, got {text!r}")
+    return gamma
 
 
 def _resolve_partition(spec: str, lattice: PitLattice) -> Partition:

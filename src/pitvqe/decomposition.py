@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .ansatz import ParamCircuit, build_circuit, prepare
 from .hamiltonian import QUBIT_CAP
 from .lattice import PitLattice
 from .simulator import InitKind, StateVector, excavation_probabilities, probabilities
-from .vqe import DescentState, Optimizer, gradient_adjoint
+from .vqe import DescentState, Objective, Optimizer
 
 INIT_PARAM_RANGE = (0.0, np.pi / 10)  # initial parameters drawn uniformly
 BOUNDS = (0.0, np.pi)  # box bounds on every fragment parameter
@@ -39,6 +39,8 @@ class Partition:
         for f in frags:
             if not f:
                 raise ValueError("empty fragment")
+            if len(set(f)) < len(f):
+                raise ValueError(f"fragment {f} lists a block twice")
             overlap = seen.intersection(f)
             if overlap:
                 raise ValueError(f"blocks {sorted(overlap)} appear in two fragments")
@@ -75,8 +77,7 @@ def load_partition(path, lattice: PitLattice) -> Partition:
             stripped = raw.split("#", 1)[0].strip()
             if stripped:
                 frags.append(tuple(int(tok) for tok in stripped.split()))
-    assignment = {b: a for a, f in enumerate(frags) for b in f}
-    return partition_custom(lattice, assignment)
+    return partition_custom(lattice, Partition(tuple(frags)).fragment_of)
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,14 @@ def fragment_mean_fields(fp: FragmentProblem, state: StateVector) -> dict[int, f
     return {b: 1.0 - 2.0 * float(p1[k]) for k, b in enumerate(fp.blocks)}
 
 
+def _fragment_energy(fp: FragmentProblem, state: StateVector,
+                     mf: Mapping[int, float], gamma: float) -> float:
+    """A fragment's part of ``total_energy``: its intra-fragment terms exactly,
+    its severed pairs on the child's side."""
+    diag = effective_diagonal(fp, mf, gamma, include_child_out=False)
+    return float(np.dot(probabilities(state), diag))
+
+
 def total_energy(
     problems: Sequence[FragmentProblem],
     states: Sequence[StateVector],
@@ -219,9 +228,7 @@ def total_energy(
         mf.update(fragment_mean_fields(fp, st))
     total = 0.0
     for fp, st in zip(problems, states):
-        # intra-fragment part exactly, severed pairs on the child side
-        diag = effective_diagonal(fp, mf, gamma, include_child_out=False)
-        total += float(np.dot(probabilities(st), diag))
+        total += _fragment_energy(fp, st, mf, gamma)
     return total
 
 
@@ -235,6 +242,8 @@ class ScfConfig:
     def __post_init__(self):
         if self.optimizer is Optimizer.SPSA:
             raise ValueError("the self-consistent sweep supports gd and qnb only")
+        if self.max_sweeps < 1:
+            raise ValueError("max_sweeps must be positive")
 
 
 @dataclass
@@ -305,50 +314,6 @@ def _product_distribution(problems, states, n):
     return dist
 
 
-class _FragmentCost:
-    """A fragment's cost under fixed mean fields, as its descent step takes it.
-
-    ``values`` runs a block of parameter rows and ``record`` appends one cost
-    to the fragment's history, so a line search can run its trials as a
-    block; called directly it does both for one row.  It keeps the
-    amplitudes of the fragment's current state and of the rows it ran last,
-    so no parameter vector runs through the circuit twice in one iterate.
-    """
-
-    def __init__(self, fp: FragmentProblem, diag, init, history, state: StateVector,
-                 params: np.ndarray):
-        self.n = fp.size
-        self.program, self.diag, self.init, self.history = (
-            fp.circuit.program, diag, init, history)
-        self._known = [(params, state.amps)]  # (params, amplitudes) pairs
-
-    def _cost(self, amps: np.ndarray) -> float:
-        return float(np.dot(amps * amps, self.diag))
-
-    def _run(self, rows: np.ndarray) -> np.ndarray:
-        amps = self.program.run(rows, self.init)
-        self._known[1:] = zip(rows, amps)
-        return amps
-
-    def values(self, rows: np.ndarray) -> Iterator[float]:
-        return map(self._cost, self._run(rows))
-
-    def record(self, params: np.ndarray, value: float) -> float:
-        self.history.append((len(self.history), value))
-        return value
-
-    def __call__(self, params: np.ndarray) -> float:
-        return self.record(params, self._cost(self.amplitudes(params)))
-
-    def amplitudes(self, params: np.ndarray) -> np.ndarray:
-        """The amplitudes at ``params``: kept ones when its bits match, else run."""
-        key = params.tobytes()
-        for known, amps in self._known:
-            if known.tobytes() == key:
-                return amps
-        return self._run(params[None])[0]
-
-
 def scf_run(
     lattice: PitLattice,
     partition: Partition,
@@ -387,13 +352,9 @@ def scf_run(
     while sweep < config.max_sweeps:
         sweep += 1
         for a, (fp, opt) in enumerate(zip(problems, opt_states)):
-            diag = effective_diagonal(fp, mf, gamma_f)
-            cost = _FragmentCost(fp, diag, config.init, histories[a], states[a], opt.params)
-
-            def grad(theta, _diag=diag, _fp=fp):
-                return gradient_adjoint(_fp.circuit, theta, _diag, config.init)
-
-            opt.iterate(cost, grad, refresh=multi)
+            cost = Objective(fp.circuit, effective_diagonal(fp, mf, gamma_f),
+                             config.init, histories[a], (opt.params, states[a].amps))
+            opt.iterate(cost, cost.gradient, refresh=multi)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params, BOUNDS[1])
             kicked = boundary_kick(
@@ -407,17 +368,8 @@ def scf_run(
             mf.update(fragment_mean_fields(fp, states[a]))
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side
-        traces.append(
-            [
-                -float(
-                    np.dot(
-                        probabilities(st),
-                        effective_diagonal(fp, mf, gamma_f, include_child_out=False),
-                    )
-                )
-                for fp, st in zip(problems, states)
-            ]
-        )
+        traces.append([-_fragment_energy(fp, st, mf, gamma_f)
+                       for fp, st in zip(problems, states)])
         energy_trace.append(-sum(traces[-1]))
         if len(energy_trace) >= 3 and (
             abs(energy_trace[-1] - energy_trace[-2]) < TOLERANCE

@@ -25,24 +25,11 @@ class Optimizer(Enum):
     QUASI_NEWTON_BOUNDED = "qnb"
 
 
-@dataclass(frozen=True)
-class SpsaGains:
-    """Gain schedules a_k = a/(A+k+1)^alpha, c_k = c/(k+1)^gamma."""
-
-    a: float | None = None  # None: calibrate for ~0.1 rad first step
-    c: float = 0.2
-    A: float | None = None  # None: 0.01 * iteration budget
-    alpha: float = 0.602
-    gamma: float = 0.101
-
-    def __post_init__(self):
-        if self.a is not None and self.a <= 0:
-            raise ValueError("gain a must be positive")
-        if self.c <= 0:
-            raise ValueError("gain c must be positive")
-
-
-SPSA_GAINS = SpsaGains()  # a and A are set per run: calibrated a, A = 1% of budget
+# SPSA gain schedules a_k = a/(A+k+1)^SPSA_ALPHA and c_k = SPSA_C/(k+1)^SPSA_GAMMA;
+# each run sets a (calibrated for a ~0.1 rad first step) and A (1% of the budget)
+SPSA_C = 0.2
+SPSA_ALPHA = 0.602
+SPSA_GAMMA = 0.101
 INIT_PARAM_RANGE = (-np.pi / 10, np.pi / 10)  # initial parameters drawn uniformly
 TOLERANCE = 1e-6  # spread of the last accepted costs that counts as converged
 GRAD_TOLERANCE = 1e-3  # stationarity check for the descent methods
@@ -78,22 +65,70 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _Evaluator:
-    """Charges the budget, records the trace, and tracks the best point.
+class Objective:
+    """The cost of a circuit's state under a dense diagonal, as a descent
+    step takes it.
 
-    A cost evaluation costs 1 and gets one trace row.  A gradient costs 2P,
-    what a central-difference or parameter-shift gradient takes, charged in
-    full or not at all; it adds no trace rows.  ``values`` runs a block of
-    parameter rows and charges nothing; ``record`` then charges and records
-    one of them, so a line search pays only for the trials it reaches.
+    ``values`` runs a (B, P) block of parameter rows and returns their costs,
+    each taken by one ``np.dot`` as ``expect_diagonal`` takes it; it books
+    nothing.  ``record`` books one cost in ``history``, so a line search
+    books only the trials it reaches; called directly the objective does both
+    for one row.  ``amplitudes`` reuses those of ``state``, a (params,
+    amplitudes) pair the caller already has, and of the last block's rows.
+    The state is kept apart from the block, so an objective without one
+    keeps no row but the last block's.
+    """
+
+    def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind,
+                 history: list[tuple[int, float]], state=None):
+        self.circuit, self.diag, self.init, self.history = circuit, diag, init, history
+        self.n = circuit.n
+        self._state = [] if state is None else [state]
+        self._block: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def _cost(self, amps: np.ndarray) -> float:
+        return float(np.dot(amps * amps, self.diag))
+
+    def _run(self, rows: np.ndarray) -> np.ndarray:
+        amps = self.circuit.program.run(rows, self.init)
+        self._block = list(zip(rows, amps))
+        return amps
+
+    def values(self, rows: np.ndarray) -> Iterator[float]:
+        return map(self._cost, self._run(rows))
+
+    def record(self, params: np.ndarray, value: float) -> float:
+        self.history.append((len(self.history), value))
+        return value
+
+    def __call__(self, params: np.ndarray) -> float:
+        params = self.circuit.bind(params)
+        return self.record(params, self._cost(self.amplitudes(params)))
+
+    def amplitudes(self, params: np.ndarray) -> np.ndarray:
+        """The amplitudes at ``params``: kept ones when its bits match, else run."""
+        key = params.tobytes()
+        for known, amps in self._state + self._block:
+            if known.tobytes() == key:
+                return amps
+        return self._run(params[None])[0]
+
+    def gradient(self, params: np.ndarray) -> np.ndarray:
+        return gradient_adjoint(self.circuit, params, self.diag, self.init)
+
+
+class _Evaluator(Objective):
+    """An ``Objective`` that charges the budget and tracks the best point.
+
+    A cost evaluation costs 1 and gets one trace row and parameter snapshot.
+    A gradient costs 2P, what a central-difference or parameter-shift
+    gradient takes, charged in full or not at all; it adds no trace rows.
     """
 
     def __init__(self, circuit, h, init, budget):
-        self.circuit, self.h, self.init = circuit, h, init
-        self.n = circuit.n
+        super().__init__(circuit, h.dense_diagonal(), init, [])
         self.budget = budget
         self.used = 0
-        self.history: list[tuple[int, float]] = []
         self.snapshots: list[np.ndarray] = []
         self.best_cost = np.inf
         self.best_params: np.ndarray | None = None
@@ -103,34 +138,22 @@ class _Evaluator:
             raise _BudgetExhausted
         self.used += evaluations
 
-    def values(self, rows: np.ndarray) -> Iterator[float]:
-        """Costs of a (B, P) block of parameter rows, each taken by one
-        ``np.dot`` as ``expect_diagonal`` takes it when the caller reaches
-        it; charges and records nothing."""
-        diag = self.h.dense_diagonal()
-        return (float(np.dot(a * a, diag))
-                for a in self.circuit.program.run(rows, self.init))
-
     def record(self, params: np.ndarray, value: float) -> float:
         self._charge(1)
         if not np.isfinite(value):
             raise FloatingPointError(
                 f"non-finite cost {value} at parameters {params!r}"
             )
-        self.history.append((len(self.history), value))
+        super().record(params, value)
         self.snapshots.append(np.array(params))
         if value < self.best_cost:
             self.best_cost = value
             self.best_params = np.array(params)
         return value
 
-    def __call__(self, params: np.ndarray) -> float:
-        params = self.circuit.bind(params)
-        return self.record(params, next(self.values(params[None])))
-
     def gradient(self, params: np.ndarray) -> np.ndarray:
         self._charge(2 * params.size)
-        return gradient_adjoint(self.circuit, params, self.h.dense_diagonal(), self.init)
+        return super().gradient(params)
 
 
 def evaluate(
@@ -183,19 +206,13 @@ def spsa_step(
     params: np.ndarray,
     cost_fn: Callable[[np.ndarray], float],
     k: int,
-    gains: SpsaGains,
+    a: float,
+    A: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One SPSA update: two evaluations along a random +-1 perturbation.
-
-    ``gains`` must carry concrete a and A values (no None placeholders).
-    """
-    if gains.a is None or gains.A is None:
-        raise ValueError("spsa_step needs resolved gains (a and A set)")
-    if gains.c <= 0 or gains.a <= 0:
-        raise ValueError("SPSA gains must be positive")
-    ak = gains.a / (gains.A + k + 1) ** gains.alpha
-    ck = gains.c / (k + 1) ** gains.gamma
+    """One SPSA update: two evaluations along a random +-1 perturbation."""
+    ak = a / (A + k + 1) ** SPSA_ALPHA
+    ck = SPSA_C / (k + 1) ** SPSA_GAMMA
     delta = rng.integers(0, 2, size=params.size) * 2.0 - 1.0
     e_plus = cost_fn(params + ck * delta)
     e_minus = cost_fn(params - ck * delta)
@@ -338,22 +355,19 @@ def _descent_loop(f, params, quasi_newton: bool):
 
 
 def _spsa_loop(f, params, rng: np.random.Generator):
-    gains = SPSA_GAINS
     A = 0.01 * max(1, (f.budget - f.used) // 3)
     # first-step calibration: aim the k=0 update at ~0.1 rad per parameter
     mags = []
-    c0 = gains.c
     for _ in range(5):
         delta = rng.integers(0, 2, size=params.size) * 2.0 - 1.0
-        diff = f(params + c0 * delta) - f(params - c0 * delta)
-        mags.append(abs(diff) / (2.0 * c0))
+        diff = f(params + SPSA_C * delta) - f(params - SPSA_C * delta)
+        mags.append(abs(diff) / (2.0 * SPSA_C))
     mean_mag = max(np.mean(mags), 1e-10)
-    a = 0.1 * (A + 1) ** gains.alpha / mean_mag
-    resolved = replace(gains, a=a, A=A)
+    a = 0.1 * (A + 1) ** SPSA_ALPHA / mean_mag
     accepted = []
     k = 0
     while True:
-        params = spsa_step(params, f, k, resolved, rng)
+        params = spsa_step(params, f, k, a, A, rng)
         accepted.append(f(params))  # trace + best-point tracking at the iterate
         k += 1
         if _window_converged(accepted, TOLERANCE):

@@ -36,6 +36,13 @@ def test_bad_gamma_exits_1(mini4_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "solve", "compare-optimizers",
+                                  "decompose", "sample"])
+def test_negative_gamma_exits_1(mini4_path, mode, capsys):
+    assert main([mode, "--instance", mini4_path, "--gamma", "-1"]) == 1
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_bad_flag_exits_1(mini4_path):
     assert main(["solve", "--instance", mini4_path, "--optimizer", "adam"]) == 1
 
@@ -74,6 +81,15 @@ def test_decompose_writes_fragment_traces(mini4_path, tmp_path, capsys):
 def test_decompose_rejects_spsa(mini4_path):
     assert main(["decompose", "--instance", mini4_path,
                  "--optimizer", "spsa"]) == 1
+
+
+def test_decompose_partition_listing_a_block_twice_exits_1(mini4_path, tmp_path,
+                                                          capsys):
+    cut = tmp_path / "cut.txt"
+    cut.write_text("0 1\n0 2\n3\n")
+    assert main(["decompose", "--instance", mini4_path, "--gamma", "7/3",
+                 "--partition", str(cut)]) == 1
+    assert "two fragments" in capsys.readouterr().err
 
 
 def test_decompose_above_qubit_cap_exits_2(tmp_path, capsys):

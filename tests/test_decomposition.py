@@ -49,6 +49,9 @@ def test_partition_validation():
         Partition(((0, 1), ()))
     with pytest.raises(ValueError, match="two fragments"):
         Partition(((0, 1), (1, 2)))
+    # a repeated block would give a fragment more blocks than circuit qubits
+    with pytest.raises(ValueError, match="twice"):
+        Partition(((0, 0, 1, 2), (3,)))
     with pytest.raises(ValueError, match="mismatch"):
         partition_custom(MINI4, {0: 0, 1: 0, 2: 0})
 
@@ -63,6 +66,16 @@ def test_load_partition_roundtrip(tmp_path):
     path.write_text("0 2 1\n3  # deep block alone\n")
     part = load_partition(path, MINI4)
     assert part.fragments == ((0, 1, 2), (3,))
+
+
+def test_load_partition_rejects_a_block_on_two_lines(tmp_path):
+    path = tmp_path / "cut.txt"
+    path.write_text("0 1\n0 2\n3\n")
+    with pytest.raises(ValueError, match="two fragments"):
+        load_partition(path, MINI4)
+    path.write_text("0 0 1 2\n3\n")
+    with pytest.raises(ValueError, match="twice"):
+        load_partition(path, MINI4)
 
 
 def test_fragment_pair_bookkeeping_covers_every_pair_once():
@@ -160,6 +173,11 @@ def test_sum_constraint_rescales_overfull_qubit_groups():
 def test_scf_config_rejects_spsa():
     with pytest.raises(ValueError, match="spsa|gd and qnb"):
         ScfConfig(optimizer=Optimizer.SPSA)
+
+
+def test_scf_config_rejects_no_sweeps():
+    with pytest.raises(ValueError, match="max_sweeps"):
+        ScfConfig(max_sweeps=0)
 
 
 def test_scf_converges_on_mini4():

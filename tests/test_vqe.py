@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from pitvqe import bundled_instance_path
-from pitvqe.ansatz import build_circuit
+from pitvqe.ansatz import build_circuit, prepare
 from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import load_instance, parse_instance
 from pitvqe.oracle import enumerate_lattice, p_opt
 from pitvqe.simulator import InitKind
 from pitvqe.vqe import (
     DescentState,
+    Objective,
     Optimizer,
-    SpsaGains,
     VqeConfig,
     compare_optimizers,
     evaluate,
+    gradient_adjoint,
     gradient_fd,
     profile_evolution,
     run,
@@ -72,18 +73,11 @@ def test_gradient_fd_rejects_bad_step(mini4_problem):
                     InitKind.ALL_ZERO, step=0.0)
 
 
-def test_spsa_step_needs_resolved_gains():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="resolved"):
-        spsa_step(np.zeros(3), lambda p: 0.0, 0, SpsaGains(), rng)
-
-
 def test_spsa_step_descends_on_quadratic():
     rng = np.random.default_rng(5)
-    gains = SpsaGains(a=0.3, A=10.0)
     params = np.full(4, 2.0)
     for k in range(200):
-        params = spsa_step(params, lambda p: float(p @ p), k, gains, rng)
+        params = spsa_step(params, lambda p: float(p @ p), k, 0.3, 10.0, rng)
     assert np.linalg.norm(params) < 0.3
 
 
@@ -184,8 +178,6 @@ def test_profile_evolution_checkpoints():
 def test_config_validation():
     with pytest.raises(ValueError):
         VqeConfig(max_evaluations=0)
-    with pytest.raises(ValueError):
-        SpsaGains(c=0.0)
 
 
 class _Counted:
@@ -224,3 +216,25 @@ def test_pending_gradient_is_taken_at_the_accepted_point(mini4_problem):
     state.params = accepted + 0.25  # moved by the caller, as a projection does
     assert problem.gradients == 1
     np.testing.assert_array_equal(state.grad, problem.grad(accepted))
+
+
+def test_objective_keeps_the_state_apart_from_the_last_block(mini4_problem):
+    circuit, h, _ = mini4_problem
+    init, diag = InitKind.SUPERPOSITION, h.dense_diagonal()
+    start = np.full(circuit.param_count, 0.3)
+    state_amps = prepare(circuit, start, init).amps
+    f = Objective(circuit, diag, init, [], (start, state_amps))
+    rows = np.array([start + 0.1, start + 0.2])
+    costs = list(f.values(rows))
+    assert f.history == []  # a block's costs are booked only by record
+    assert costs == [evaluate(circuit, row, h, init) for row in rows]
+    assert f.amplitudes(start.copy()) is state_amps
+    kept = f.amplitudes(rows[1].copy())
+    assert kept.tobytes() == prepare(circuit, rows[1], init).amps.tobytes()
+    assert f.amplitudes(rows[1].copy()) is kept
+    f.amplitudes(start + 0.5)  # a new row replaces the block, not the state
+    assert f.amplitudes(rows[1].copy()) is not kept
+    assert f.amplitudes(start.copy()) is state_amps
+    assert f(rows[0]) == costs[0] and f.history == [(0, costs[0])]
+    np.testing.assert_array_equal(f.gradient(start),
+                                  gradient_adjoint(circuit, start, diag, init))
