@@ -57,6 +57,16 @@ class ParamCircuit:
         return params
 
     @cached_property
+    def rotation_groups(self) -> tuple[np.ndarray, ...]:
+        """Parameter ids per target qubit, in gate order: the single rotation
+        on a qubit together with every controlled rotation targeting it."""
+        groups: dict[int, list[int]] = {}
+        for g in self.gates:
+            target = g.qubit if isinstance(g, SingleRy) else g.target
+            groups.setdefault(target, []).append(g.param_id)
+        return tuple(np.array(ids) for ids in groups.values())
+
+    @cached_property
     def program(self) -> Program:
         """The circuit compiled once, on first use.
 

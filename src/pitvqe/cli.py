@@ -200,8 +200,6 @@ def _cmd_decompose(args) -> int:
     path, lattice = _resolve_instance(args.instance)
     gamma = _resolve_gamma(args.gamma, lattice)
     partition = _resolve_partition(args.partition, lattice)
-    if OPTIMIZERS[args.optimizer] is Optimizer.SPSA:
-        raise UserError("decompose supports --optimizer gd or qnb")
     config = ScfConfig(
         init=INITS[args.init],
         optimizer=OPTIMIZERS[args.optimizer],
@@ -262,18 +260,16 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _add_common(parser, *, gamma=True):
+def _add_common(parser):
     parser.add_argument("--instance", required=True,
                         help="instance file path or bundled name")
-    if gamma:
-        parser.add_argument("--gamma", default="auto",
-                            help="rational penalty like 53/3, or 'auto'")
+    parser.add_argument("--gamma", default="auto",
+                        help="rational penalty like 53/3, or 'auto'")
     parser.add_argument("--out", default=None, help="output directory for CSVs")
 
 
 def _add_solver_flags(parser):
     parser.add_argument("--init", choices=sorted(INITS), default="zero")
-    parser.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="qnb")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-evals", type=int, default=5000)
     parser.add_argument("--restarts", type=int, default=5)
@@ -293,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the variational solver")
     _add_common(p)
     _add_solver_flags(p)
+    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="qnb")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("compare-optimizers",
@@ -313,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="finite shots, optional noise/mitigation")
     _add_common(p)
     _add_solver_flags(p)
+    p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), default="qnb")
     p.add_argument("--shots", type=int, default=8192)
     p.add_argument("--noise", default="none",
                    help="'none' or a noise model file (q<i> p10 p01 lines)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -56,13 +56,18 @@ def partition_horizontal(lattice: PitLattice) -> Partition:
     return Partition(tuple(tuple(r) for r in lattice.rows() if r))
 
 
+def _require_cover(lattice: PitLattice, blocks: Iterable[int]) -> None:
+    """Reject block ids that are not exactly the lattice's blocks."""
+    expected, got = set(range(lattice.n)), set(blocks)
+    if got != expected:
+        missing, extra = sorted(expected - got), sorted(got - expected)
+        raise ValueError(f"partition mismatch: missing blocks {missing}, "
+                         f"extra blocks {extra}")
+
+
 def partition_custom(lattice: PitLattice, assignment: Mapping[int, int]) -> Partition:
     """Partition from an explicit block -> fragment-id map."""
-    expected = set(range(lattice.n))
-    if set(assignment) != expected:
-        missing = sorted(expected - set(assignment))
-        extra = sorted(set(assignment) - expected)
-        raise ValueError(f"assignment mismatch: missing {missing}, extra {extra}")
+    _require_cover(lattice, assignment)
     by_frag: dict[int, list[int]] = {}
     for block, frag in assignment.items():
         by_frag.setdefault(frag, []).append(block)
@@ -89,6 +94,11 @@ class FragmentProblem:
     child_out_pairs: tuple[tuple[int, int], ...]  # child global out, parent global in
     circuit: ParamCircuit
     profits: tuple[int, ...]  # per local qubit
+    # global block ids as index arrays: the fragment's blocks, the parents of
+    # child_in_pairs and the children of child_out_pairs
+    block_index: np.ndarray = field(repr=False, compare=False)
+    in_fields: np.ndarray = field(repr=False, compare=False)
+    out_fields: np.ndarray = field(repr=False, compare=False)
     _intra_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -129,7 +139,9 @@ class FragmentProblem:
 def build_fragment_problems(
     lattice: PitLattice, partition: Partition
 ) -> list[FragmentProblem]:
-    frag_of = partition.fragment_of
+    """One problem per fragment; the fragments must cover every block (a
+    ``Partition`` already lists each block at most once)."""
+    _require_cover(lattice, partition.fragment_of)
     problems = []
     for a, blocks in enumerate(partition.fragments):
         members = set(blocks)
@@ -152,36 +164,32 @@ def build_fragment_problems(
                 child_out_pairs=tuple(child_out),
                 circuit=circuit,
                 profits=tuple(lattice.blocks[b].profit for b in blocks),
+                block_index=np.array(blocks, dtype=np.int64),
+                in_fields=np.array([j for _, j in child_in], dtype=np.int64),
+                out_fields=np.array([i for i, _ in child_out], dtype=np.int64),
             )
         )
     return problems
 
 
-def _require_fields(mf: Mapping[int, float], blocks) -> None:
-    missing = [b for b in blocks if b not in mf]
-    if missing:
-        raise ValueError(f"missing mean fields for blocks {missing}")
-
-
 def effective_diagonal(
-    fp: FragmentProblem, mf: Mapping[int, float], gamma: float,
+    fp: FragmentProblem, mean_z: np.ndarray, gamma: float,
     include_child_out: bool = True,
 ) -> np.ndarray:
     """Dense effective cost over the fragment's local basis.
 
-    Mean fields replace the out-of-fragment end of each severed pair:
+    ``mean_z`` holds <Z_b> for every block b of the lattice.  Mean fields
+    replace the out-of-fragment end of each severed pair:
     a severed child i inside the fragment contributes z_i (1 + <Z_j>)/2 and a
     severed parent j inside contributes (1 - <Z_i>)/2 (1 - z_j).  The trace
     reported per fragment books each severed pair on the child's side, which
     is what ``include_child_out=False`` computes.
     """
     diag, gamma_z_child, parent_out = fp._terms(gamma)
-    _require_fields(mf, [j for _, j in fp.child_in_pairs])
-    fields = np.array([mf[j] for _, j in fp.child_in_pairs], dtype=float)
+    fields = mean_z[fp.in_fields]
     terms = [diag[None], gamma_z_child * (1.0 + fields)[:, None] / 2.0]
     if include_child_out:
-        _require_fields(mf, [i for i, _ in fp.child_out_pairs])
-        fields = np.array([mf[i] for i, _ in fp.child_out_pairs], dtype=float)
+        fields = mean_z[fp.out_fields]
         terms.append((gamma * (1.0 - fields) / 2.0)[:, None] * parent_out)
     terms = np.concatenate(terms)
     if len(terms) == 1:
@@ -190,28 +198,17 @@ def effective_diagonal(
     return np.add.accumulate(terms)[-1]
 
 
-def effective_cost(
-    fp: FragmentProblem,
-    mf: Mapping[int, float],
-    gamma: float,
-    z_local: Sequence[int],
-) -> float:
-    """Effective cost of one local bitstring under the current mean fields."""
-    index = sum(int(z) << k for k, z in enumerate(z_local))
-    return float(effective_diagonal(fp, mf, gamma)[index])
-
-
-def fragment_mean_fields(fp: FragmentProblem, state: StateVector) -> dict[int, float]:
-    """<Z_b> for every block of the fragment from its local state."""
-    p1 = excavation_probabilities(state)
-    return {b: 1.0 - 2.0 * float(p1[k]) for k, b in enumerate(fp.blocks)}
+def fragment_mean_fields(fp: FragmentProblem, state: StateVector) -> np.ndarray:
+    """<Z_b> for every block of the fragment from its local state, in
+    ``fp.blocks`` order."""
+    return 1.0 - 2.0 * excavation_probabilities(state)
 
 
 def _fragment_energy(fp: FragmentProblem, state: StateVector,
-                     mf: Mapping[int, float], gamma: float) -> float:
+                     mean_z: np.ndarray, gamma: float) -> float:
     """A fragment's part of ``total_energy``: its intra-fragment terms exactly,
     its severed pairs on the child's side."""
-    diag = effective_diagonal(fp, mf, gamma, include_child_out=False)
+    diag = effective_diagonal(fp, mean_z, gamma, include_child_out=False)
     return float(np.dot(probabilities(state), diag))
 
 
@@ -223,12 +220,12 @@ def total_energy(
     """Global mean-field energy with each severed pair counted once."""
     if len(states) != len(problems):
         raise ValueError("one state per fragment required")
-    mf: dict[int, float] = {}
+    mean_z = np.empty(sum(fp.size for fp in problems))
     for fp, st in zip(problems, states):
-        mf.update(fragment_mean_fields(fp, st))
+        mean_z[fp.block_index] = fragment_mean_fields(fp, st)
     total = 0.0
     for fp, st in zip(problems, states):
-        total += _fragment_energy(fp, st, mf, gamma)
+        total += _fragment_energy(fp, st, mean_z, gamma)
     return total
 
 
@@ -257,44 +254,25 @@ class ScfResult:
     fragment_histories: list[list[tuple[int, float]]]
 
 
-def boundary_kick(
-    params: np.ndarray,
-    bounds: tuple[float, float],
-    epsilon: float,
-    temperature: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Shift parameters stuck within epsilon of a bound inward by U(0, T]."""
-    if epsilon <= 0 or temperature <= 0:
-        raise ValueError("epsilon and temperature must be positive")
-    lo, hi = bounds
+def boundary_kick(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Shift parameters within KICK_EPSILON of a bound inward by
+    U(0, KICK_TEMPERATURE]."""
+    lo, hi = BOUNDS
     out = np.array(params, dtype=float)
     for k, v in enumerate(out):
-        if v - lo < epsilon:
-            out[k] = lo + temperature * (1.0 - rng.uniform(0.0, 1.0))
-        elif hi - v < epsilon:
-            out[k] = hi - temperature * (1.0 - rng.uniform(0.0, 1.0))
+        if v - lo < KICK_EPSILON:
+            out[k] = lo + KICK_TEMPERATURE * (1.0 - rng.uniform(0.0, 1.0))
+        elif hi - v < KICK_EPSILON:
+            out[k] = hi - KICK_TEMPERATURE * (1.0 - rng.uniform(0.0, 1.0))
     return out
 
 
-def sum_constraint_project(
-    circuit: ParamCircuit, params: np.ndarray, upper: float = np.pi
-) -> np.ndarray:
-    """Rescale per-qubit gate groups whose parameter sum exceeds the range.
-
-    A group is the single rotation on a qubit together with every controlled
-    rotation targeting it; groups with no controlled member are left alone.
-    """
-    from .ansatz import ControlledRy, SingleRy
-
-    groups: dict[int, list[int]] = {}
-    for g in circuit.gates:
-        if isinstance(g, SingleRy):
-            groups.setdefault(g.qubit, []).append(g.param_id)
-        else:
-            groups.setdefault(g.target, []).append(g.param_id)
+def sum_constraint_project(circuit: ParamCircuit, params: np.ndarray) -> np.ndarray:
+    """Rescale the circuit's rotation groups whose parameter sum exceeds the
+    upper bound; groups with no controlled member are left alone."""
+    upper = BOUNDS[1]
     out = np.array(params, dtype=float)
-    for qubit, ids in groups.items():
+    for ids in circuit.rotation_groups:
         if len(ids) < 2:
             continue
         total = out[ids].sum()
@@ -341,9 +319,9 @@ def scf_run(
         prepare(fp.circuit, st.params, config.init)
         for fp, st in zip(problems, opt_states)
     ]
-    mf: dict[int, float] = {}
+    mean_z = np.empty(lattice.n)
     for fp, st in zip(problems, states):
-        mf.update(fragment_mean_fields(fp, st))
+        mean_z[fp.block_index] = fragment_mean_fields(fp, st)
     multi = len(problems) > 1
     traces: list[list[float]] = []
     energy_trace: list[float] = []
@@ -352,23 +330,21 @@ def scf_run(
     while sweep < config.max_sweeps:
         sweep += 1
         for a, (fp, opt) in enumerate(zip(problems, opt_states)):
-            cost = Objective(fp.circuit, effective_diagonal(fp, mf, gamma_f),
+            cost = Objective(fp.circuit, effective_diagonal(fp, mean_z, gamma_f),
                              config.init, histories[a], (opt.params, states[a].amps))
             opt.iterate(cost, cost.gradient, refresh=multi)
             if fp.intra_pairs:
-                opt.params = sum_constraint_project(fp.circuit, opt.params, BOUNDS[1])
-            kicked = boundary_kick(
-                opt.params, BOUNDS, KICK_EPSILON, KICK_TEMPERATURE, rng
-            )
+                opt.params = sum_constraint_project(fp.circuit, opt.params)
+            kicked = boundary_kick(opt.params, rng)
             if not np.array_equal(kicked, opt.params):
                 opt.params = kicked
                 opt.fx = None  # force re-evaluation next iteration
             # the accepted trial's amplitudes, unless projection or kick moved it
             states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
-            mf.update(fragment_mean_fields(fp, states[a]))
+            mean_z[fp.block_index] = fragment_mean_fields(fp, states[a])
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side
-        traces.append([-_fragment_energy(fp, st, mf, gamma_f)
+        traces.append([-_fragment_energy(fp, st, mean_z, gamma_f)
                        for fp, st in zip(problems, states)])
         energy_trace.append(-sum(traces[-1]))
         if len(energy_trace) >= 3 and (

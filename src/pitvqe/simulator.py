@@ -50,9 +50,6 @@ class StateVector:
         self.n = n
         self.amps = amps
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amps.copy())
-
     def norm(self) -> float:
         return float(np.dot(self.amps, self.amps))
 

@@ -37,6 +37,7 @@ GRAD_TOLERANCE = 1e-3  # stationarity check for the descent methods
 # circuit in blocks of 256 >> n rows, so circuits of 9 or more qubits run one
 # trial at a time.
 BLOCK_AMPLITUDES = 256
+RESTART_P_OPT = 0.5  # restart while the best run's p_opt is below this
 
 
 @dataclass(frozen=True)
@@ -407,15 +408,16 @@ def run_with_restarts(
     config: VqeConfig,
     oracle: OracleResult | None = None,
     restarts: int = 5,
-    p_opt_threshold: float = 0.5,
 ) -> VqeResult:
     """Re-run with fresh seeds when the oracle says the run got stuck."""
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     result = run(circuit, h, config)
     if oracle is None:
         return result
     best = result
     attempt = 0
-    while p_opt(best.final_distribution, oracle) < p_opt_threshold and attempt < restarts:
+    while p_opt(best.final_distribution, oracle) < RESTART_P_OPT and attempt < restarts:
         attempt += 1
         config = replace(config, seed=config.seed + 104729 * attempt)
         result = run(circuit, h, config)

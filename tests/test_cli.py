@@ -47,6 +47,19 @@ def test_bad_flag_exits_1(mini4_path):
     assert main(["solve", "--instance", mini4_path, "--optimizer", "adam"]) == 1
 
 
+@pytest.mark.parametrize("mode", ["solve", "compare-optimizers", "sample"])
+def test_negative_restarts_exits_1(mini4_path, mode, capsys):
+    assert main([mode, "--instance", mini4_path, "--gamma", "7/3",
+                 "--restarts", "-1"]) == 1
+    assert "restarts must be non-negative" in capsys.readouterr().err
+
+
+def test_compare_rejects_optimizer_flag(mini4_path):
+    # compare-optimizers always runs all three optimizers
+    assert main(["compare-optimizers", "--instance", mini4_path,
+                 "--optimizer", "gd"]) == 1
+
+
 def test_solve_writes_trace_and_distribution(mini4_path, tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(["solve", "--instance", mini4_path, "--gamma", "7/3",

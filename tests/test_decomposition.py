@@ -12,7 +12,7 @@ from pitvqe.decomposition import (
     ScfConfig,
     boundary_kick,
     build_fragment_problems,
-    effective_cost,
+    effective_diagonal,
     fragment_mean_fields,
     load_partition,
     partition_custom,
@@ -126,34 +126,34 @@ def test_effective_cost_uses_mean_fields():
     deep = problems[1]
     assert deep.child_in_pairs == ((3, 0), (3, 1), (3, 2))
     gamma = 7.0 / 3.0
-    # parents undug: <Z> = +1, digging the child costs -5 + 3 gamma
-    mf = {0: 1.0, 1: 1.0, 2: 1.0}
-    assert effective_cost(deep, mf, gamma, (1,)) == pytest.approx(-5 + 3 * gamma)
+    # parents undug: <Z> = +1, digging the child costs -5 + 3 gamma; the deep
+    # block's own entry is not read
+    mean_z = np.array([1.0, 1.0, 1.0, np.nan])
+    assert effective_diagonal(deep, mean_z, gamma)[1] == pytest.approx(-5 + 3 * gamma)
     # parents dug: the severed penalty vanishes
-    mf = {0: -1.0, 1: -1.0, 2: -1.0}
-    assert effective_cost(deep, mf, gamma, (1,)) == pytest.approx(-5.0)
-    with pytest.raises(ValueError, match="missing mean fields"):
-        effective_cost(deep, {0: 1.0}, gamma, (1,))
+    mean_z = np.array([-1.0, -1.0, -1.0, np.nan])
+    assert effective_diagonal(deep, mean_z, gamma)[1] == pytest.approx(-5.0)
+    # a partition leaving blocks without a fragment has no field for them
+    with pytest.raises(ValueError, match=r"mismatch: missing blocks \[0, 1, 2\]"):
+        build_fragment_problems(MINI4, Partition(((3,),)))
 
 
 def test_fragment_mean_fields_convention():
     part = partition_horizontal(MINI4)
     problems = build_fragment_problems(MINI4, part)
     state = init_state(3, InitKind.ALL_ZERO)
-    assert fragment_mean_fields(problems[0], state) == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert np.array_equal(fragment_mean_fields(problems[0], state), [1.0, 1.0, 1.0])
     state = init_state(1, InitKind.ALL_ONE)
-    assert fragment_mean_fields(problems[1], state) == {3: -1.0}
+    assert np.array_equal(fragment_mean_fields(problems[1], state), [-1.0])
 
 
 def test_boundary_kick_moves_only_stuck_parameters():
     rng = np.random.default_rng(1)
     params = np.array([0.0, 1.5, np.pi])
-    kicked = boundary_kick(params, (0.0, np.pi), 1e-3, 0.1, rng)
+    kicked = boundary_kick(params, rng)
     assert kicked[1] == 1.5
     assert 0.0 < kicked[0] <= 0.1
     assert np.pi - 0.1 <= kicked[2] < np.pi
-    with pytest.raises(ValueError):
-        boundary_kick(params, (0.0, np.pi), 0.0, 0.1, rng)
 
 
 def test_sum_constraint_rescales_overfull_qubit_groups():
@@ -161,7 +161,7 @@ def test_sum_constraint_rescales_overfull_qubit_groups():
     params = np.zeros(circuit.param_count)
     # qubit 0 group: single p0 plus cry p4 targeting it
     params[0], params[4] = 2.5, 1.5
-    out = sum_constraint_project(circuit, params, upper=np.pi)
+    out = sum_constraint_project(circuit, params)
     assert out[0] + out[4] == pytest.approx(np.pi)
     assert out[0] / out[4] == pytest.approx(2.5 / 1.5)
     # qubit 3 has no controlled member: left alone even beyond the range

@@ -87,7 +87,7 @@ def test_adjoint_matches_central_differences_on_a_fragment_cost(data, lattice, g
                                                                 init):
     partition = _random_partition(data, lattice)
     fields = data.draw(st.lists(st.floats(-1, 1), min_size=lattice.n, max_size=lattice.n))
-    mf = dict(enumerate(fields))
+    mf = np.array(fields)
     for fp in build_fragment_problems(lattice, partition):
         diag = effective_diagonal(fp, mf, float(gamma))
         params = data.draw(angles(fp.circuit.param_count))
@@ -121,7 +121,7 @@ def _effective_diagonal_by_pairs(fp, mf, gamma, include_child_out):
 def test_effective_diagonal_adds_pair_terms_in_order(data, lattice, gamma,
                                                      include_child_out):
     fields = data.draw(st.lists(st.floats(-1, 1), min_size=lattice.n, max_size=lattice.n))
-    mf = dict(enumerate(fields))
+    mf = np.array(fields)
     for fp in build_fragment_problems(lattice, _random_partition(data, lattice)):
         got = effective_diagonal(fp, mf, float(gamma), include_child_out)
         want = _effective_diagonal_by_pairs(fp, mf, float(gamma), include_child_out)
