@@ -282,13 +282,20 @@ def sum_constraint_project(circuit: ParamCircuit, params: np.ndarray) -> np.ndar
 
 
 def _product_distribution(problems, states, n):
-    idx = np.arange(1 << n)
+    """Each global basis index's product of fragment probabilities, taken in
+    fragment order.  Index hi << low | lo maps to a fragment's local index
+    as the OR of what its blocks among the low bits give for lo and what
+    those among the high bits give for hi, so two tables of about 2^(n/2)
+    entries build the 2^n local indices."""
+    low = n // 2
+    halves = np.arange(1 << low), np.arange(1 << (n - low))
     dist = np.ones(1 << n)
     for fp, st in zip(problems, states):
-        local_idx = np.zeros(1 << n, dtype=np.int64)
+        tables = [np.zeros(half.size, dtype=np.int64) for half in halves]
         for k, b in enumerate(fp.blocks):
-            local_idx |= ((idx >> b) & 1) << k
-        dist *= probabilities(st)[local_idx]
+            half = int(b >= low)
+            tables[half] |= ((halves[half] >> (b - low * half)) & 1) << k
+        dist *= probabilities(st)[(tables[1][:, None] | tables[0]).reshape(-1)]
     return dist
 
 
@@ -319,6 +326,10 @@ def scf_run(
         prepare(fp.circuit, st.params, config.init)
         for fp, st in zip(problems, opt_states)
     ]
+    # per fragment the objective's kept point at its state: (params,
+    # amplitudes, forward pass row), carried so that the next sweep's refresh
+    # cost and gradient reuse it
+    points = [(st.params, state.amps, None) for st, state in zip(opt_states, states)]
     mean_z = np.empty(lattice.n)
     for fp, st in zip(problems, states):
         mean_z[fp.block_index] = fragment_mean_fields(fp, st)
@@ -331,7 +342,7 @@ def scf_run(
         sweep += 1
         for a, (fp, opt) in enumerate(zip(problems, opt_states)):
             cost = Objective(fp.circuit, effective_diagonal(fp, mean_z, gamma_f),
-                             config.init, histories[a], (opt.params, states[a].amps))
+                             config.init, histories[a], points[a])
             opt.iterate(cost, cost.gradient, refresh=multi)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params)
@@ -339,8 +350,9 @@ def scf_run(
             if not np.array_equal(kicked, opt.params):
                 opt.params = kicked
                 opt.fx = None  # force re-evaluation next iteration
-            # the accepted trial's amplitudes, unless projection or kick moved it
-            states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
+            # the accepted trial's point, unless projection or kick moved it
+            points[a] = cost.point(opt.params)
+            states[a] = StateVector(fp.size, points[a][1])
             mean_z[fp.block_index] = fragment_mean_fields(fp, states[a])
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side

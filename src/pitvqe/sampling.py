@@ -9,6 +9,7 @@ probabilities stay non-negative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,17 +257,30 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> float:
     return float(-np.log(coeff)) if coeff < 1.0 else 0.0
 
 
-# Rows formatted at a time, 2^10.  Chunk strings of about 32 kB stay below the
-# size the allocator maps separately, so one chunk's memory serves the next and
-# the peak stays below that of formatting every row at once.
-_CSV_CHUNK_BITS = 10
-_CSV_CHUNK = 1 << _CSV_CHUNK_BITS
+# Count rows formatted at a time, 2^10.  Chunk strings of about 32 kB stay
+# below the size the allocator maps separately, so one chunk's memory serves
+# the next and the peak stays below that of formatting every row at once.
+_CSV_CHUNK = 1 << 10
+# Rows of a distribution formatted at a time, 2^12: a chunk's byte matrix
+# takes (n + 34) << 12 bytes.
+_DIST_CHUNK_BITS = 12
+# A probability's "%.12g" text fills a field of 32 NUL-padded bytes: an
+# 8-byte prefix ("0." to "0.000"), the 12 digits in four 4-byte groups with
+# the point after the lead digit, and an 8-byte exponent suffix ("e-05" to
+# "e-324"); any float's text fits in it.
+_FIELD = 32
+# Decimal exponents -k of the positive doubles below 10, k from 0 to -324.
+_EXPONENTS = 325
+
+
+def _label_bytes(indices: np.ndarray, n: int) -> np.ndarray:
+    """The ASCII bitstring of each basis index, qubit 0 first, one row each."""
+    return ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
 
 
 def _labels(indices: np.ndarray, n: int) -> list[str]:
     """The bitstring of each basis index, qubit 0 first."""
-    chars = ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
-    return chars.view(f"S{n}").ravel().astype(str).tolist()
+    return _label_bytes(indices, n).view(f"S{n}").ravel().astype(str).tolist()
 
 
 def counts_to_csv(counts: Counts, n: int) -> str:
@@ -283,19 +297,115 @@ def counts_to_csv(counts: Counts, n: int) -> str:
     return "".join(parts)
 
 
-def distribution_to_csv(dist: np.ndarray, n: int) -> str:
-    """One ``bitstring,probability`` row per basis index, qubit 0 first.
+@functools.cache
+def _g12_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the "%.12g" fields are built from, per decimal exponent -e: the
+    three factors of 10^(11 + e), whether the point follows the lead digit
+    (as an offset into the group table) and the 8-byte prefix and suffix;
+    and the group table, four 4-byte variants of each 3-digit group 000-999:
+    plain, the last nonzero group with its trailing zeros dropped, and both
+    again as a lead group with the point after its first digit."""
+    e = np.arange(_EXPONENTS)
+    powers = 10.0 ** np.arange(23)  # exact
+    scale = np.stack((powers[np.minimum(11 + e, 22)], powers[np.clip(e - 11, 0, 22)],
+                      10.0 ** np.maximum(e - 33, 0)))
+    point = np.where((e == 0) | (e > 4), 2000, 0)
+    edges = b"".join((("0." + "0" * (k - 1) if 1 <= k <= 4 else "").ljust(8, "\0")
+                      + (f"e-{k:02d}" if k > 4 else "").ljust(8, "\0")).encode("ascii")
+                     for k in e)
+    edges = np.frombuffer(edges, np.uint64).reshape(-1, 2)
+    groups = np.arange(1000)
+    digits = (groups[:, None] // np.array((100, 10, 1)) % 10 + ord("0")).astype(np.uint8)
+    # a digit stays in a last group when it or a digit after it is nonzero
+    kept = np.cumsum((digits != ord("0"))[:, ::-1], axis=1)[:, ::-1] > 0
+    table = np.zeros((4, 1000, 4), np.uint8)
+    table[0, :, :3] = digits
+    table[1, :, :3] = digits * kept
+    table[2, :, 0], table[2, :, 1], table[2, :, 2:] = digits[:, 0], ord("."), digits[:, 1:]
+    table[3] = table[2]
+    table[3, :, 1:] *= kept[:, (1, 1, 2)]  # the lead digit always stays
+    tables = scale, point, edges, table.view(np.uint32).reshape(-1)
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
-    A chunk of 2^10 rows shares its high bits, so one template of the low
-    bits' labels, with each chunk's high bits filled in, is a %-format over
-    the chunk's values alone.
+
+def _g12_fields(values: np.ndarray) -> np.ndarray:
+    """Each value's ``"%.12g" % value`` as a (len(values), 4) uint64 array of
+    NUL-padded fields.
+
+    A value in (0, 10) times 10^(11 + e), e = -floor(log10(value)), lies in
+    [1e11, 1e12); the three factors keep 10^(11 + e) finite and exact down to
+    1e-33, so the scaled value is within 5e-4 of exact and rounds as the exact
+    decimal does unless its fraction lies within 1e-3 of one half.  Such near
+    ties, values whose exponent guess is off or that round up to the next
+    power of ten, and -0.0, negatives, values from 10 up and non-finite
+    values are formatted by Python one row at a time.
     """
-    low = min(n, _CSV_CHUNK_BITS)
-    template = "".join(f"{label}|,%.12g\n" for label in _labels(np.arange(1 << low), low))
-    values = np.asarray(dist)[: 1 << n]
-    parts = ["bitstring,probability\n"]
+    scale, point, edges, table = _g12_tables()
+    regular = (values > 0.0) & (values < 10.0)
+    zero = (values == 0.0) & ~np.signbit(values)  # "0", as a lead digit 0
+    x = np.where(regular, values, 1.0)
+    e = (-np.floor(np.log10(x))).astype(np.intp)
+    scaled = x * scale[0].take(e) * scale[1].take(e) * scale[2].take(e)
+    whole = np.floor(scaled)
+    frac = scaled - whole
+    python = ~(regular | zero) | (np.abs(frac - 0.5) <= 1e-3)
+    python |= (scaled < 1e11) | (scaled >= 999999999999.5)
+    rounded = ((whole + (frac > 0.5)) * regular).astype(np.int64)
+    high = rounded // 1000000
+    low = rounded - high * 1000000
+    index = np.empty((len(values), 4), np.intp)
+    index[:, 0] = high // 1000
+    index[:, 1] = high - index[:, 0] * 1000
+    index[:, 2] = low // 1000
+    index[:, 3] = low - index[:, 2] * 1000
+    # from the last nonzero group on, groups drop their trailing zeros
+    tail = index[:, 3] == 0
+    index[:, 3] += 1000
+    index[:, 2] += tail * 1000
+    tail &= index[:, 2] == 1000
+    index[:, 1] += tail * 1000
+    tail &= index[:, 1] == 1000
+    index[:, 0] += tail * 1000 + point.take(e)
+    fields = np.empty((len(values), 4), np.uint64)
+    fields[:, 1:3] = table.take(index, mode="clip").view(np.uint64)  # python rows may clip
+    fields[:, 0::3] = edges.take(e, axis=0)
+    rows = np.flatnonzero(python)
+    if rows.size:
+        text = ["%.12g" % value for value in values[rows].tolist()]
+        fields[rows] = np.array(text, dtype=f"S{_FIELD}").view(np.uint64).reshape(-1, 4)
+    return fields
+
+
+def distribution_to_csv(dist: np.ndarray, n: int) -> str:
+    """One ``bitstring,probability`` row per basis index, qubit 0 first, the
+    probability as ``"%.12g"`` formats it; ``dist`` must have shape (2^n,).
+
+    A chunk of 2^12 rows is one byte matrix, each row its label, comma,
+    NUL-padded probability field and newline: the low bits' labels are the
+    same in every chunk, and the high bits' are the chunk's.  Deleting the
+    NULs leaves the chunk's text, which goes into one buffer decoded once.
+    """
+    dist = np.asarray(dist, dtype=float)
+    if dist.shape != (1 << n,):
+        raise ValueError(f"distribution over {dist.size} outcomes, lattice needs {1 << n}")
+    header = b"bitstring,probability\n"
+    low = min(n, _DIST_CHUNK_BITS)
+    # a row's text is at most its label, comma, 19 characters and newline
+    buf = np.empty(len(header) + (n + 21 << n), dtype=np.uint8)
+    buf[:len(header)] = np.frombuffer(header, np.uint8)
+    end = len(header)
+    block = np.empty((1 << low, n + _FIELD + 2), dtype=np.uint8)
+    block[:, :low] = _label_bytes(np.arange(1 << low), low)
+    block[:, n] = ord(",")
+    block[:, -1] = ord("\n")
+    high = np.arange(n - low)
     for chunk in range(1 << (n - low)):
-        high = "".join("01"[(chunk >> k) & 1] for k in range(n - low))
-        cells = values[chunk << low:(chunk + 1) << low].tolist()
-        parts.append(template.replace("|", high) % tuple(cells))
-    return "".join(parts)
+        block[:, low:n] = ((chunk >> high) & 1) + ord("0")
+        fields = _g12_fields(dist[chunk << low:(chunk + 1) << low])
+        block[:, n + 1:-1] = fields.view(np.uint8)
+        text = block.tobytes().translate(None, b"\0")
+        buf[end:end + len(text)] = np.frombuffer(text, np.uint8)
+        end += len(text)
+    return str(memoryview(buf[:end]), "ascii")

@@ -7,7 +7,8 @@ real throughout; basis index bit i is z_i with qubit 0 least significant.
 circuit runs as a ``Program``: its leading Ry layer is built directly as a
 product state, and the remaining gates act through index pairs computed once
 per program.  A program runs a block of parameter rows at once, each row
-bitwise as it runs alone, and gives the exact gradient by a reverse sweep.
+bitwise as it runs alone, and gives the exact gradient by a reverse sweep,
+which can start from a row of a forward pass already run.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class Program:
             pairs = self._block_pairs[b] = [p + offsets for p in self.tail_pairs]
         return pairs
 
-    def _forward(self, rows: np.ndarray, init: InitKind):
+    def forward(self, rows: np.ndarray, init: InitKind):
         """Run the circuit on a (B, P) block of parameter rows.
 
         Returns (v, prefixes, rotations, amplitudes): ``v[:, :, q]`` is qubit
@@ -194,13 +195,14 @@ class Program:
 
     def run(self, rows: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit on a (B, P) block of parameter rows: (B, 2^n) amplitudes."""
-        return self._forward(rows, init)[3]
+        return self.forward(rows, init)[3]
 
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit applied to the initial product state."""
         return self.run(params[None], init)[0]
 
-    def gradient(self, params: np.ndarray, diag: np.ndarray, init: InitKind) -> np.ndarray:
+    def gradient(self, params: np.ndarray, diag: np.ndarray, init: InitKind,
+                 forward=None) -> np.ndarray:
         """Exact gradient of <psi|diag|psi> by one reverse sweep.
 
         With lam = diag psi, a gate's derivative is dRy(t) = Ry(t + pi) / 2,
@@ -208,10 +210,18 @@ class Program:
         bit 1 only for a controlled rotation); undoing the gate on psi and
         lam moves the sweep one gate back.  The leading layer's terms come
         from contracting lam with the product state from the top qubit down.
+
+        ``forward`` is a (pass, row) pair: row ``row`` of a ``forward`` pass
+        whose rows included ``params``.  A row has the strides of a block of
+        one, so the gradient is bitwise the one a pass of its own gives;
+        without ``forward`` the pass is run here.
         """
-        v, prefixes, rotations, phi = self._forward(params[None], init)
-        v, rotations, phi = v[0], rotations[:, 0], phi[0]
-        prefixes = [prefix[0, 0] for prefix in prefixes]
+        if forward is None:
+            forward = self.forward(params[None], init), 0
+        (v, prefixes, rotations, phi), row = forward
+        # phi is swept back in place, and a kept pass's amplitudes are shared
+        v, rotations, phi = v[row], rotations[:, row], phi[row].copy()
+        prefixes = [prefix[row, 0] for prefix in prefixes]
         lam = diag * phi
         grad = np.zeros(params.size)
         for k in range(len(self.tail_pairs) - 1, -1, -1):
@@ -245,5 +255,7 @@ def expect_diagonal(state: StateVector, h: DiagonalCost) -> float:
 def excavation_probabilities(state: StateVector) -> np.ndarray:
     """Per-qubit p(z_i = 1): the mass on basis indices with bit i set."""
     p = probabilities(state)
-    index = np.arange(p.size)
-    return np.array([p[(index >> q) & 1 == 1].sum() for q in range(state.n)])
+    # the raveled copy holds the bit-set entries contiguously in index order,
+    # so each sum adds them as a boolean mask's selection would
+    return np.array([p.reshape(-1, 2, 1 << q)[:, 1].ravel().sum()
+                     for q in range(state.n)])

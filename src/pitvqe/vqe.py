@@ -74,10 +74,13 @@ class Objective:
     each taken by one ``np.dot`` as ``expect_diagonal`` takes it; it books
     nothing.  ``record`` books one cost in ``history``, so a line search
     books only the trials it reaches; called directly the objective does both
-    for one row.  ``amplitudes`` reuses those of ``state``, a (params,
-    amplitudes) pair the caller already has, and of the last block's rows.
-    The state is kept apart from the block, so an objective without one
-    keeps no row but the last block's.
+    for one row.  A kept point is (params, amplitudes, forward), where
+    ``forward`` is None or the (pass, row) of a ``Program.forward`` pass that
+    ran ``params``: ``point`` reuses ``state``, one the caller already has,
+    and those of the last block's rows, so amplitudes and the gradient at a
+    trial the line search ran take no forward pass of their own.  The state
+    is kept apart from the block, so an objective without one keeps no row
+    but the last block's.
     """
 
     def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind,
@@ -85,14 +88,15 @@ class Objective:
         self.circuit, self.diag, self.init, self.history = circuit, diag, init, history
         self.n = circuit.n
         self._state = [] if state is None else [state]
-        self._block: list[tuple[np.ndarray, np.ndarray]] = []
+        self._block: list[tuple] = []
 
     def _cost(self, amps: np.ndarray) -> float:
         return float(np.dot(amps * amps, self.diag))
 
     def _run(self, rows: np.ndarray) -> np.ndarray:
-        amps = self.circuit.program.run(rows, self.init)
-        self._block = list(zip(rows, amps))
+        forward = self.circuit.program.forward(rows, self.init)
+        amps = forward[3]
+        self._block = [(row, amps[i], (forward, i)) for i, row in enumerate(rows)]
         return amps
 
     def values(self, rows: np.ndarray) -> Iterator[float]:
@@ -106,16 +110,22 @@ class Objective:
         params = self.circuit.bind(params)
         return self.record(params, self._cost(self.amplitudes(params)))
 
-    def amplitudes(self, params: np.ndarray) -> np.ndarray:
-        """The amplitudes at ``params``: kept ones when its bits match, else run."""
+    def point(self, params: np.ndarray) -> tuple:
+        """The point at ``params``: a kept one when its bits match, else run."""
         key = params.tobytes()
-        for known, amps in self._state + self._block:
-            if known.tobytes() == key:
-                return amps
-        return self._run(params[None])[0]
+        for point in self._state + self._block:
+            if point[0].tobytes() == key:
+                return point
+        self._run(params[None])
+        return self._block[0]
+
+    def amplitudes(self, params: np.ndarray) -> np.ndarray:
+        return self.point(params)[1]
 
     def gradient(self, params: np.ndarray) -> np.ndarray:
-        return gradient_adjoint(self.circuit, params, self.diag, self.init)
+        params = self.circuit.bind(params)
+        return gradient_adjoint(self.circuit, params, self.diag, self.init,
+                                self.point(params)[2])
 
 
 class _Evaluator(Objective):
@@ -187,17 +197,20 @@ def gradient_fd(
 
 
 def gradient_adjoint(
-    circuit: ParamCircuit, params: Sequence[float], diag: np.ndarray, init: InitKind
+    circuit: ParamCircuit, params: Sequence[float], diag: np.ndarray, init: InitKind,
+    forward=None,
 ) -> np.ndarray:
     """Exact gradient of the expectation of a dense diagonal ``diag``.
 
     One forward and one reverse sweep over the circuit (Jones & Gacon 2020,
-    arXiv:2009.02823) instead of gradient_fd's 2P circuit runs.
+    arXiv:2009.02823) instead of gradient_fd's 2P circuit runs; ``forward``,
+    the (pass, row) of a forward pass that ran ``params``, stands in for the
+    forward sweep (see ``Program.gradient``).
     """
     params = circuit.bind(params)
     if np.shape(diag) != (1 << circuit.n,):
         raise ValueError(f"diagonal of shape {np.shape(diag)} for {circuit.n} qubits")
-    grad = circuit.program.gradient(params, diag, init)
+    grad = circuit.program.gradient(params, diag, init, forward)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError(f"non-finite gradient at parameters {params!r}")
     return grad

@@ -1,9 +1,13 @@
-"""Command-line runner: modes, exit codes, outputs, reproducibility."""
+"""Command-line runner: modes, exit codes, outputs, reproducibility, and the
+bytes of recorded runs."""
 
+import hashlib
 import os
+import shutil
 
 import pytest
 
+from pitvqe import bundled_instance_path
 from pitvqe.cli import main
 
 MINI4_TEXT = "rows 2\n0:-1 1:2 2:-1\n1:5\n"
@@ -184,3 +188,72 @@ def test_repeat_runs_byte_identical(mini4_path, tmp_path, argv_tail, capsys):
         outputs.append(_read_all(out))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+STEP9_COLUMNS = "0\n1 5\n2 6 8\n3 7\n4\n"
+GOLDEN_NOISE = "q0 0.03 0.015\nq1 0.05 0.02\nq3 0.02 0.04\n"
+SAMPLE_STEP9 = ["sample", "--instance", "step9.pit", "--gamma", "8/3", "--seed", "2",
+                "--max-evals", "1500", "--restarts", "1", "--mitigate"]
+SAMPLE_MINI4 = ["sample", "--instance", "mini4.pit", "--gamma", "7/3", "--seed", "2",
+                "--mitigate"]
+DECOMPOSE_STEP9 = ["decompose", "--instance", "step9.pit", "--gamma", "8/3",
+                   "--seed", "2"]
+# SHA-256 of every file a run writes, and of its stdout.
+GOLDEN = {
+    "decompose-step9-rows": (DECOMPOSE_STEP9, {
+        "distribution.csv": "778dadc9b230d6c7d4c22b238bfaf5b09b8bc7424c6e9c53e11c54db1bf131b4",
+        "fragments.csv": "ab8aa787520cdaf77428496b2bcbf9d34ab6aa268be62d35264ff5a953b1a0f7",
+        "run.meta": "603982b950f650ea1fbc7be33da4d90ef3ef337c9e1ad5c9172d84d99ce68c87",
+        "stdout": "78ba6d3b1af614991e5bfdbde29d4f4bdfaa58073b1f6fae930edac6a4a17588",
+    }),
+    "decompose-step9-columns": ([*DECOMPOSE_STEP9, "--partition", "columns.txt"], {
+        "distribution.csv": "2b964dbc0106582273576d7278a4335018d3faca5c1575432e7c93d929258b19",
+        "fragments.csv": "94af5768dd36fdcd0f9edd264b2a23c0bf82c364abf73c6eaed9a60a7476ebf6",
+        "run.meta": "08bbc0be4cdcf97040fa8ea98d61dca6c9a819c8990d5897d3f55b6a7eaec7e5",
+        "stdout": "2ca1c42fb15f311d551f10b65e0378933b43949f740b0d80ba3d6db471c8d43b",
+    }),
+    "sample-mini4": (SAMPLE_MINI4, {
+        "counts.csv": "54fca546ebb22b9d18d06c0d3e3babc5f9b0736d82e9e3b1a6ea5806ce44c25d",
+        "distribution.csv": "420bdf671c112a8feb25e7630a9ed9dc09769ca2db1772c12ac5e13a61ac39ad",
+        "mitigated.csv": "420bdf671c112a8feb25e7630a9ed9dc09769ca2db1772c12ac5e13a61ac39ad",
+        "run.meta": "e436771c5a869b44c3e401f4f9cf508e0a55aa2d543348837010de714b2cd97b",
+        "stdout": "a8c41ab8273a6a88a2ed0d03cbca7921f465452a7f4e726aabb35671b4bb497d",
+    }),
+    "sample-mini4-noise": ([*SAMPLE_MINI4, "--noise", "noise.txt"], {
+        "counts.csv": "4ad10539cd15ffdcc9356a2ba402ddadd663b6dd9a9357fd2731ce353a64c98a",
+        "distribution.csv": "f35e9219c8ed75ffd84d54ae5256c5439e89d06ed7aebed95357d209dc2a3262",
+        "mitigated.csv": "15a1a801b90aa272aff225eb801eecdaf96515f4c94c48385c7889beb28d5130",
+        "run.meta": "c84290e59145c1e9fd8b568a9b38e6025eac903812ffcdc0827061a679f126c8",
+        "stdout": "d29dc9ea3b1532efe7c7522eb77adb64dd15bf5fa0e48811854710d9f5f01365",
+    }),
+    "sample-step9": (SAMPLE_STEP9, {
+        "counts.csv": "b77a8d35aded6f3e589a6f63bf2cd8a3b576f26072ef43b2ba646afd57aceaec",
+        "distribution.csv": "e0c0249248bbf0b42e81b572f87b800ce353ad2697ef24ef305a6d1379f168a6",
+        "mitigated.csv": "e0c0249248bbf0b42e81b572f87b800ce353ad2697ef24ef305a6d1379f168a6",
+        "run.meta": "2a0073cdf5d080d8dd32412b6f7332e032951423674f9f7325f4e73e031c8b72",
+        "stdout": "f63bdc06d366da4741b9465604170cc09d9c36a73ac510c7a73a8a69067d200f",
+    }),
+    "sample-step9-noise": ([*SAMPLE_STEP9, "--noise", "noise.txt"], {
+        "counts.csv": "87331e6a7a8b6cd794891a6f1a5d97b4e60f6676ffd21a897771063e634ac9b5",
+        "distribution.csv": "cfe0333c5d53be69cdab48d73d228204df5a00ff81b3d3b30eeadd2003727cb2",
+        "mitigated.csv": "a06aefd0d24eeade8f1185e9e6e2f8740768ee1a1a781faa00c8d3997cb0f252",
+        "run.meta": "ee5f7250d4e38a3babf57c79869ffbe86b2ca4fc6ae3b56cfa2b2ab08144edca",
+        "stdout": "4b13c957b876d1997c77cfd1b2e192de327da289b1ca82606f8bb926f34ab2b7",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_their_recorded_hashes(case, tmp_path, monkeypatch, capsys):
+    # relative input paths, so run.meta does not depend on where the run is
+    monkeypatch.chdir(tmp_path)
+    for name in ("mini4", "step9"):
+        shutil.copy(bundled_instance_path(name), f"{name}.pit")
+    (tmp_path / "columns.txt").write_text(STEP9_COLUMNS)
+    (tmp_path / "noise.txt").write_text(GOLDEN_NOISE)
+    argv, want = GOLDEN[case]
+    assert main([*argv, "--out", "out"]) == 0
+    written = _read_all("out")
+    written["stdout"] = capsys.readouterr().out.encode()
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in written.items()} == want

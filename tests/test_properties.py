@@ -1,9 +1,13 @@
 """Property tests: the compiled engine and its adjoint gradient against the
 gate-by-gate kernels and central differences, the evaluation budget, blocks
-of rows against single runs, block line searches against plain callables,
-and the cost tables against per-bitstring sums."""
+of rows against single runs, gradients from a kept forward pass against
+fresh ones, block line searches against plain callables, the cost tables
+against per-bitstring sums, the marginals and the product distribution
+against index-mask loops, and the distribution CSV against Python's
+per-row format."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from pitvqe.ansatz import ControlledRy, ParamCircuit, SingleRy, build_circuit, prepare
 from pitvqe.decomposition import (
     ScfConfig,
+    _product_distribution,
     build_fragment_problems,
     effective_diagonal,
     partition_custom,
@@ -21,7 +26,16 @@ from pitvqe.decomposition import (
 )
 from pitvqe.hamiltonian import DiagonalCost, _index_table, index_to_bits
 from pitvqe.lattice import Block, PitLattice, make_lattice, profit, smoothness
-from pitvqe.simulator import InitKind, apply_cry, apply_ry, init_state
+from pitvqe.sampling import distribution_to_csv
+from pitvqe.simulator import (
+    InitKind,
+    StateVector,
+    apply_cry,
+    apply_ry,
+    excavation_probabilities,
+    init_state,
+    probabilities,
+)
 from pitvqe.vqe import (
     DescentState,
     Optimizer,
@@ -242,6 +256,24 @@ def test_block_rows_equal_single_runs_bitwise(data, circuit, init, rows):
         assert got.tobytes() == prepare(circuit, row, init).amps.tobytes()
 
 
+@pytest.mark.parametrize("init", list(InitKind))
+@pytest.mark.parametrize("rows", [1, 5])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), circuit=st.one_of(hand_circuits(), lattices().map(build_circuit)))
+def test_gradient_from_a_kept_row_equals_a_fresh_gradient_bitwise(data, circuit, init,
+                                                                  rows):
+    block = data.draw(arrays(np.float64, (rows, circuit.param_count),
+                             elements=st.floats(-np.pi, np.pi)))
+    diag = data.draw(arrays(np.float64, 1 << circuit.n, elements=st.floats(-5, 5)))
+    program = circuit.program
+    forward = program.forward(block, init)
+    amps = forward[3].copy()
+    for row, params in enumerate(block):
+        got = program.gradient(params, diag, init, (forward, row))
+        assert got.tobytes() == program.gradient(params, diag, init).tobytes()
+    assert forward[3].tobytes() == amps.tobytes()  # the kept pass is not swept
+
+
 def _descend(f, grad, params, bounds, quasi_newton, iterates=40):
     """Iterate until convergence, budget exhaustion or ``iterates`` steps;
     returns the state and the number of the iterate that ran out of budget."""
@@ -302,3 +334,87 @@ def test_scf_with_a_plain_objective_matches_the_block_run(lattice, gamma, init,
     assert got.final_distribution.tobytes() == want.final_distribution.tobytes()
     assert [s.amps.tobytes() for s in got.final_states] == [
         s.amps.tobytes() for s in want.final_states]
+
+
+@pytest.mark.parametrize("n", range(1, 19))  # strided sums differ from 16 qubits up
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_marginals_match_index_mask_sums_bitwise(n, seed):
+    amps = np.random.default_rng(seed).normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    p, index = probabilities(state), np.arange(1 << n)
+    want = np.array([p[(index >> q) & 1 == 1].sum() for q in range(n)])
+    assert excavation_probabilities(state).tobytes() == want.tobytes()
+
+
+def _product_by_shifts(problems, states, n):
+    """The product distribution built with one shift pass per block."""
+    idx = np.arange(1 << n)
+    dist = np.ones(1 << n)
+    for fp, state in zip(problems, states):
+        local_idx = np.zeros(1 << n, dtype=np.int64)
+        for k, b in enumerate(fp.blocks):
+            local_idx |= ((idx >> b) & 1) << k
+        dist *= probabilities(state)[local_idx]
+    return dist
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_product_distribution_matches_the_per_block_shift_loop(data, n, seed):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    problems = [SimpleNamespace(blocks=tuple(b for b in range(n) if labels[b] == f))
+                for f in sorted(set(labels))]
+    rng = np.random.default_rng(seed)
+    states = []
+    for fp in problems:
+        amps = rng.normal(size=1 << len(fp.blocks))
+        states.append(StateVector(len(fp.blocks), amps / np.linalg.norm(amps)))
+    got = _product_distribution(problems, states, n)
+    assert got.tobytes() == _product_by_shifts(problems, states, n).tobytes()
+
+
+def _csv_by_rows(dist, n):
+    return "bitstring,probability\n" + "".join(
+        "%s,%.12g\n" % ("".join(str(i >> q & 1) for q in range(n)), p)
+        for i, p in enumerate(dist.tolist()))
+
+
+def _power_of_ten_neighbours(k):
+    x = 10.0 ** -k
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+
+
+# Values the exact float path must get right or leave to Python's format.
+csv_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.0, 9.9999999999999, 9.99999999999951,
+                     10.0, np.nan, np.inf, -np.inf]),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+    st.integers(0, 324).flatmap(lambda k: st.sampled_from(_power_of_ten_neighbours(k))),
+    st.integers(0, 8192).map(lambda k: k / 8192),  # shot fractions, with exact ties
+    st.floats(10.0, 1e308),
+    st.floats(max_value=-0.0),
+    st.floats(0.0, 10.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([1, 10, 11, 14]), st.integers(0, 2**32 - 1))
+def test_distribution_csv_matches_the_per_row_format(data, n, seed):
+    rng = np.random.default_rng(seed)
+    # random float64 bit patterns in [0, 10), then the drawn values in place
+    dist = rng.integers(0, 0x4024000000000000, 1 << n).view(np.float64)
+    special = data.draw(st.lists(csv_values, max_size=min(64, 1 << n)))
+    dist[rng.choice(1 << n, size=len(special), replace=False)] = special
+    assert distribution_to_csv(dist, n) == _csv_by_rows(dist, n)
+
+
+def test_distribution_csv_matches_the_per_row_format_on_every_edge_case():
+    """Every power of ten down to 1e-324 with its neighbours and every shot
+    fraction k/8192, over several chunks."""
+    n = 14
+    edges = [x for k in range(325) for x in _power_of_ten_neighbours(k)]
+    edges += [k / 8192 for k in range(8193)]
+    dist = np.random.default_rng(3).uniform(size=1 << n)
+    dist[:len(edges)] = edges
+    assert distribution_to_csv(dist, n) == _csv_by_rows(dist, n)

@@ -276,6 +276,13 @@ def test_csv_bytes_match_the_per_row_format(n):
     assert counts_to_csv(counts, n) == "bitstring,count\n" + want
 
 
+@pytest.mark.parametrize("size", [3, 5, 8])
+def test_distribution_csv_rejects_a_vector_of_the_wrong_size(size):
+    with pytest.raises(ValueError, match=f"distribution over {size} outcomes, "
+                                         "lattice needs 4"):
+        distribution_to_csv(np.full(size, 1.0 / size), 2)
+
+
 def test_sample_survives_a_probability_rounded_above_one():
     circuit = build_circuit(load_instance(bundled_instance_path("mini4")))
     params = [1.8388451168915623, -4.263014516276499, -1.869139917553704,

@@ -223,7 +223,7 @@ def test_objective_keeps_the_state_apart_from_the_last_block(mini4_problem):
     init, diag = InitKind.SUPERPOSITION, h.dense_diagonal()
     start = np.full(circuit.param_count, 0.3)
     state_amps = prepare(circuit, start, init).amps
-    f = Objective(circuit, diag, init, [], (start, state_amps))
+    f = Objective(circuit, diag, init, [], (start, state_amps, None))
     rows = np.array([start + 0.1, start + 0.2])
     costs = list(f.values(rows))
     assert f.history == []  # a block's costs are booked only by record
@@ -238,3 +238,7 @@ def test_objective_keeps_the_state_apart_from_the_last_block(mini4_problem):
     assert f(rows[0]) == costs[0] and f.history == [(0, costs[0])]
     np.testing.assert_array_equal(f.gradient(start),
                                   gradient_adjoint(circuit, start, diag, init))
+    f.values(rows)  # a kept block row's gradient reuses the row's forward pass
+    assert f.point(rows[1].copy())[2][1] == 1
+    assert f.gradient(rows[1]).tobytes() == gradient_adjoint(
+        circuit, rows[1], diag, init).tobytes()
