@@ -94,11 +94,12 @@ class FragmentProblem:
     child_out_pairs: tuple[tuple[int, int], ...]  # child global out, parent global in
     circuit: ParamCircuit
     profits: tuple[int, ...]  # per local qubit
-    # global block ids as index arrays: the fragment's blocks, the parents of
-    # child_in_pairs and the children of child_out_pairs
+    # global block ids as index arrays: the fragment's blocks, and the mean
+    # fields of the severed pairs, the parents of child_in_pairs then the
+    # children of child_out_pairs, with the sign each field takes (+1, -1)
     block_index: np.ndarray = field(repr=False, compare=False)
-    in_fields: np.ndarray = field(repr=False, compare=False)
-    out_fields: np.ndarray = field(repr=False, compare=False)
+    field_index: np.ndarray = field(repr=False, compare=False)
+    field_sign: np.ndarray = field(repr=False, compare=False)
     _intra_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
@@ -114,9 +115,9 @@ class FragmentProblem:
         return self._terms(gamma)[0]
 
     def _terms(self, gamma: float):
-        """(intra_diagonal, gamma z_i per child_in pair, 1 - z_j per child_out
-        pair), the parts of ``effective_diagonal`` no mean field changes; the
-        pair terms are (pairs, 2^size) arrays, all read-only."""
+        """(intra_diagonal, pair bits), the parts of ``effective_diagonal`` no
+        mean field changes, both read-only: row k of the (pairs, 2^size) pair
+        bits is z_i for child_in pair k, then 1 - z_j for each child_out pair."""
         terms = self._intra_cache.get(gamma)
         if terms is None:
             idx = np.arange(1 << self.size, dtype=np.int64)
@@ -128,8 +129,8 @@ class FragmentProblem:
                 )
             children = [self.local(i) for i, _ in self.child_in_pairs]
             parents = [self.local(j) for _, j in self.child_out_pairs]
-            terms = (diag, gamma * bits[:, children].T,
-                     (1 - bits[:, parents].T).astype(float))
+            pair_bits = np.concatenate((bits[:, children].T, 1 - bits[:, parents].T))
+            terms = (diag, pair_bits.astype(float))
             for term in terms:
                 term.setflags(write=False)
             self._intra_cache[gamma] = terms
@@ -165,8 +166,9 @@ def build_fragment_problems(
                 circuit=circuit,
                 profits=tuple(lattice.blocks[b].profit for b in blocks),
                 block_index=np.array(blocks, dtype=np.int64),
-                in_fields=np.array([j for _, j in child_in], dtype=np.int64),
-                out_fields=np.array([i for i, _ in child_out], dtype=np.int64),
+                field_index=np.array([j for _, j in child_in] + [i for i, _ in child_out],
+                                     dtype=np.int64),
+                field_sign=np.repeat((1.0, -1.0), (len(child_in), len(child_out))),
             )
         )
     return problems
@@ -184,17 +186,23 @@ def effective_diagonal(
     severed parent j inside contributes (1 - <Z_i>)/2 (1 - z_j).  The trace
     reported per fragment books each severed pair on the child's side, which
     is what ``include_child_out=False`` computes.
+
+    A pair term is its bit row times the coefficient gamma (1 +- <Z>) / 2:
+    for a bit of 0 or 1 that is the float, signed zero included, of gamma
+    times the bit times (1 +- <Z>), halved.  A running sum adds the terms
+    one at a time, in pair order.
     """
-    diag, gamma_z_child, parent_out = fp._terms(gamma)
-    fields = mean_z[fp.in_fields]
-    terms = [diag[None], gamma_z_child * (1.0 + fields)[:, None] / 2.0]
-    if include_child_out:
-        fields = mean_z[fp.out_fields]
-        terms.append((gamma * (1.0 - fields) / 2.0)[:, None] * parent_out)
-    terms = np.concatenate(terms)
-    if len(terms) == 1:
+    diag, pair_bits = fp._terms(gamma)
+    pairs = len(pair_bits) if include_child_out else len(fp.child_in_pairs)
+    if not pairs:
         return diag
-    # a running sum adds the pair terms one at a time, in pair order
+    coef = fp.field_sign[:pairs] * mean_z.take(fp.field_index[:pairs])
+    coef += 1.0
+    coef *= gamma
+    coef /= 2.0
+    terms = np.empty((pairs + 1, diag.size))
+    terms[0] = diag
+    np.multiply(pair_bits[:pairs], coef[:, None], out=terms[1:])
     return np.add.accumulate(terms)[-1]
 
 
@@ -259,7 +267,7 @@ def boundary_kick(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     U(0, KICK_TEMPERATURE]."""
     lo, hi = BOUNDS
     out = np.array(params, dtype=float)
-    for k, v in enumerate(out):
+    for k, v in enumerate(out.tolist()):
         if v - lo < KICK_EPSILON:
             out[k] = lo + KICK_TEMPERATURE * (1.0 - rng.uniform(0.0, 1.0))
         elif hi - v < KICK_EPSILON:
@@ -347,7 +355,7 @@ def scf_run(
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params)
             kicked = boundary_kick(opt.params, rng)
-            if not np.array_equal(kicked, opt.params):
+            if (kicked != opt.params).any():
                 opt.params = kicked
                 opt.fx = None  # force re-evaluation next iteration
             # the accepted trial's point, unless projection or kick moved it

@@ -70,14 +70,6 @@ class ReadoutModel:
     def n(self) -> int:
         return len(self.matrices)
 
-    def full_matrix(self) -> np.ndarray:
-        """Dense channel over all 2^n outcomes, the reference the tests check
-        the matrix-free operations against; qubit 0 is the least significant bit."""
-        full = np.ones((1, 1))
-        for m in self.matrices:  # kron in reverse places qubit 0 at the LSB
-            full = np.kron(m, full)
-        return full
-
 
 def _flip_matrix(p10: float, p01: float) -> np.ndarray:
     return np.array([[1.0 - p01, p10], [p01, 1.0 - p10]])
@@ -274,8 +266,12 @@ _EXPONENTS = 325
 
 
 def _label_bytes(indices: np.ndarray, n: int) -> np.ndarray:
-    """The ASCII bitstring of each basis index, qubit 0 first, one row each."""
-    return ((indices[:, None] >> np.arange(n)) & 1).astype(np.uint8) + ord("0")
+    """The ASCII bitstring of each basis index, qubit 0 first, one row each:
+    the bits of its four little-endian bytes, low bit first."""
+    raw = np.asarray(indices, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    bits = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    bits += ord("0")
+    return bits
 
 
 def _labels(indices: np.ndarray, n: int) -> list[str]:
@@ -343,23 +339,36 @@ def _g12_fields(values: np.ndarray) -> np.ndarray:
     values are formatted by Python one row at a time.
     """
     scale, point, edges, table = _g12_tables()
-    regular = (values > 0.0) & (values < 10.0)
-    zero = (values == 0.0) & ~np.signbit(values)  # "0", as a lead digit 0
+    # steps write into buffers whose contents the rest no longer reads, and
+    # names are dropped once read, so few vectors of len(values) are live
+    regular = values > 0.0
+    regular &= values < 10.0
+    zero = values == 0.0
+    zero &= ~np.signbit(values)  # "0", as a lead digit 0
+    python = ~(regular | zero)
     x = np.where(regular, values, 1.0)
-    e = (-np.floor(np.log10(x))).astype(np.intp)
-    scaled = x * scale[0].take(e) * scale[1].take(e) * scale[2].take(e)
-    whole = np.floor(scaled)
-    frac = scaled - whole
-    python = ~(regular | zero) | (np.abs(frac - 0.5) <= 1e-3)
-    python |= (scaled < 1e11) | (scaled >= 999999999999.5)
-    rounded = ((whole + (frac > 0.5)) * regular).astype(np.int64)
-    high = rounded // 1000000
-    low = rounded - high * 1000000
+    e = np.log10(x)
+    np.floor(e, out=e)
+    e = np.negative(e, out=e).astype(np.intp)
+    scaled = scale[0].take(e)
+    scaled *= x
+    scaled *= scale[1].take(e, out=x, mode="clip")
+    scaled *= scale[2].take(e, out=x, mode="clip")
+    python |= scaled < 1e11
+    python |= scaled >= 999999999999.5
+    whole = np.floor(scaled, out=x)
+    frac = np.subtract(scaled, whole, out=scaled)
+    whole += frac > 0.5
+    whole *= regular
+    frac -= 0.5
+    python |= np.abs(frac, out=frac) <= 1e-3
+    del frac, scaled
+    high, low = np.divmod(whole.astype(np.int64), 1000000)
+    del whole, x
     index = np.empty((len(values), 4), np.intp)
-    index[:, 0] = high // 1000
-    index[:, 1] = high - index[:, 0] * 1000
-    index[:, 2] = low // 1000
-    index[:, 3] = low - index[:, 2] * 1000
+    np.divmod(high, 1000, out=(index[:, 0], index[:, 1]))
+    np.divmod(low, 1000, out=(index[:, 2], index[:, 3]))
+    del high, low
     # from the last nonzero group on, groups drop their trailing zeros
     tail = index[:, 3] == 0
     index[:, 3] += 1000
@@ -370,6 +379,7 @@ def _g12_fields(values: np.ndarray) -> np.ndarray:
     index[:, 0] += tail * 1000 + point.take(e)
     fields = np.empty((len(values), 4), np.uint64)
     fields[:, 1:3] = table.take(index, mode="clip").view(np.uint64)  # python rows may clip
+    del index
     fields[:, 0::3] = edges.take(e, axis=0)
     rows = np.flatnonzero(python)
     if rows.size:
@@ -385,27 +395,24 @@ def distribution_to_csv(dist: np.ndarray, n: int) -> str:
     A chunk of 2^12 rows is one byte matrix, each row its label, comma,
     NUL-padded probability field and newline: the low bits' labels are the
     same in every chunk, and the high bits' are the chunk's.  Deleting the
-    NULs leaves the chunk's text, which goes into one buffer decoded once.
+    NULs leaves the chunk's text.
     """
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (1 << n,):
         raise ValueError(f"distribution over {dist.size} outcomes, lattice needs {1 << n}")
-    header = b"bitstring,probability\n"
     low = min(n, _DIST_CHUNK_BITS)
-    # a row's text is at most its label, comma, 19 characters and newline
-    buf = np.empty(len(header) + (n + 21 << n), dtype=np.uint8)
-    buf[:len(header)] = np.frombuffer(header, np.uint8)
-    end = len(header)
-    block = np.empty((1 << low, n + _FIELD + 2), dtype=np.uint8)
+    # the matrix shares a bytearray's memory, whose translate copies only the text
+    raw = bytearray((n + _FIELD + 2) << low)
+    block = np.frombuffer(raw, np.uint8).reshape(1 << low, -1)
     block[:, :low] = _label_bytes(np.arange(1 << low), low)
+    block[:, low:n] = ord("0")
     block[:, n] = ord(",")
     block[:, -1] = ord("\n")
-    high = np.arange(n - low)
+    parts = ["bitstring,probability\n"]
     for chunk in range(1 << (n - low)):
-        block[:, low:n] = ((chunk >> high) & 1) + ord("0")
-        fields = _g12_fields(dist[chunk << low:(chunk + 1) << low])
-        block[:, n + 1:-1] = fields.view(np.uint8)
-        text = block.tobytes().translate(None, b"\0")
-        buf[end:end + len(text)] = np.frombuffer(text, np.uint8)
-        end += len(text)
-    return str(memoryview(buf[:end]), "ascii")
+        # moving on from chunk - 1 flips its high bits up to the lowest zero
+        for k in range((chunk ^ (chunk - 1)).bit_length() if chunk else 0):
+            block[:, low + k] = ord("0") + (chunk >> k & 1)
+        block[:, n + 1:-1] = _g12_fields(dist[chunk << low:(chunk + 1) << low]).view(np.uint8)
+        parts.append(raw.translate(None, b"\0").decode("ascii"))
+    return "".join(parts)

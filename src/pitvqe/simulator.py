@@ -13,6 +13,7 @@ which can start from a row of a forward pass already run.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import Sequence
 
@@ -137,6 +138,7 @@ class Program:
         self.n = n
         self.layer_param = np.asarray(layer_param, dtype=np.intp)
         self.tail_param = np.asarray(tail_param, dtype=np.intp)
+        self._layer_ids, self._tail_ids = self.layer_param.tolist(), self.tail_param.tolist()
         # where each gate's cos and sin of the half angle sit in a row of
         # (cos, sin) pairs whose first pair is the zero angle (index -1)
         cos_at = 2 * (self.layer_param + 1)
@@ -153,16 +155,19 @@ class Program:
                 _check_pair(n, control, target)
                 lo = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
             self.tail_pairs.append(np.stack((lo, lo | (1 << target))))
-        # per block size, each gate's pairs offset into the flattened rows
-        self._block_pairs = {1: [pairs[None] for pairs in self.tail_pairs]}
+        self._blocks: dict[int, tuple] = {}
 
-    def _pairs_for(self, b: int) -> list[np.ndarray]:
-        """Each tail gate's (b, 2, m) pairs into ``b`` rows laid end to end."""
-        pairs = self._block_pairs.get(b)
-        if pairs is None:
+    def _block(self, b: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Per block size ``b``: the (b, 1, 1) ones that start the product
+        state, read-only, and each tail gate's (b, 2, m) pairs into ``b``
+        rows laid end to end."""
+        block = self._blocks.get(b)
+        if block is None:
+            ones = np.ones((b, 1, 1))
+            ones.setflags(write=False)
             offsets = (np.arange(b) << self.n)[:, None, None]
-            pairs = self._block_pairs[b] = [p + offsets for p in self.tail_pairs]
-        return pairs
+            block = self._blocks[b] = ones, [p + offsets for p in self.tail_pairs]
+        return block
 
     def forward(self, rows: np.ndarray, init: InitKind):
         """Run the circuit on a (B, P) block of parameter rows.
@@ -170,9 +175,9 @@ class Program:
         Returns (v, prefixes, rotations, amplitudes): ``v[:, :, q]`` is qubit
         q's state after its leading Ry, ``prefixes[q]`` the (B, 1, 2^q)
         product state of qubits below q, ``rotations[k]`` tail gate k's
-        (B, 2, 2) matrices, and the amplitudes are (B, 2^n).  Each row goes
-        through the ops, shapes and strides of a block of one, so every row
-        is bitwise what running it alone gives.
+        (B, 2, 2) matrices (none without a tail), and the amplitudes are
+        (B, 2^n).  Each row goes through the ops, shapes and strides of a
+        block of one, so every row is bitwise what running it alone gives.
         """
         b = len(rows)
         half = np.zeros((b, rows.shape[1] + 1, 1))
@@ -181,15 +186,18 @@ class Program:
         # per row (cos, sin) of each half angle, the zero angle first
         trig = np.concatenate((np.cos(half), np.sin(half)), axis=2).reshape(b, -1)
         v = _INIT_MATRIX[init] @ trig.take(self._layer_trig, axis=1)
-        prefixes = [np.ones((b, 1, 1))]
+        ones, block_pairs = self._block(b)
+        prefixes = [ones]
         for state in v.transpose(2, 0, 1)[..., None]:  # (v0 * prefix, v1 * prefix)
             prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
         amps = prefixes.pop().reshape(b, -1)
+        if not block_pairs:
+            return v, prefixes, (), amps
         flat = amps.reshape(-1)
         # stored (B, 2, 2, K), so a gate's 2x2 has the strides of a single row's
         rotations = trig.take(self._tail_trig, axis=1) * _ROTATION_SIGN
         rotations = rotations.transpose(3, 0, 1, 2)
-        for rot, pairs in zip(rotations, self._pairs_for(b)):
+        for rot, pairs in zip(rotations, block_pairs):
             flat[pairs] = rot @ flat.take(pairs)
         return v, prefixes, rotations, amps
 
@@ -220,25 +228,26 @@ class Program:
             forward = self.forward(params[None], init), 0
         (v, prefixes, rotations, phi), row = forward
         # phi is swept back in place, and a kept pass's amplitudes are shared
-        v, rotations, phi = v[row], rotations[:, row], phi[row].copy()
-        prefixes = [prefix[row, 0] for prefix in prefixes]
+        v, phi = v[row], phi[row].copy()
         lam = diag * phi
-        grad = np.zeros(params.size)
+        grad = [0.0] * params.size
         for k in range(len(self.tail_pairs) - 1, -1, -1):
             pairs = self.tail_pairs[k]
             a, l = phi.take(pairs), lam.take(pairs)
-            grad[self.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
-            back = rotations[k].T
+            grad[self._tail_ids[k]] += l[1] @ a[0] - l[0] @ a[1]
+            back = rotations[k, row].T
             phi[pairs] = back @ a
             lam[pairs] = back @ l
         rest = lam  # lam contracted with the layer states of qubits above q
+        v0, v1 = v.tolist()
         for q in range(self.n - 1, -1, -1):
             rest = rest.reshape(2, -1)
-            if self.layer_param[q] >= 0:
-                d0, d1 = rest @ prefixes[q]
-                grad[self.layer_param[q]] += v[0, q] * d1 - v[1, q] * d0
+            p = self._layer_ids[q]
+            if p >= 0:
+                d0, d1 = (rest @ prefixes[q][row, 0]).tolist()
+                grad[p] += v0[q] * d1 - v1[q] * d0
             rest = v[:, q] @ rest
-        return grad
+        return np.array(grad)
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -252,10 +261,32 @@ def expect_diagonal(state: StateVector, h: DiagonalCost) -> float:
     return float(np.dot(probabilities(state), h.dense_diagonal()))
 
 
+# Qubit counts up to which the marginals gather through a cached index table,
+# n 2^(n-1) entries: at most 5,120 here, where the 20-qubit table would take
+# 80 MB.
+MARGINAL_TABLE_QUBITS = 10
+
+
+@functools.cache
+def _bit_set_indices(n: int) -> np.ndarray:
+    """(n, 2^(n-1)) table: row q lists the basis indices with bit q set, in
+    index order."""
+    index = np.arange(1 << n)
+    table = np.array([index[(index >> q) & 1 == 1] for q in range(n)])
+    table.setflags(write=False)
+    return table
+
+
 def excavation_probabilities(state: StateVector) -> np.ndarray:
-    """Per-qubit p(z_i = 1): the mass on basis indices with bit i set."""
+    """Per-qubit p(z_i = 1): the mass on basis indices with bit i set.
+
+    Each sum adds the bit-set entries contiguously in index order, as a
+    boolean mask's selection would: up to ``MARGINAL_TABLE_QUBITS`` qubits
+    one gather lays out every qubit's entries as a row, above that a raveled
+    copy per qubit.
+    """
     p = probabilities(state)
-    # the raveled copy holds the bit-set entries contiguously in index order,
-    # so each sum adds them as a boolean mask's selection would
+    if state.n <= MARGINAL_TABLE_QUBITS:
+        return p.take(_bit_set_indices(state.n)).sum(axis=1)
     return np.array([p.reshape(-1, 2, 1 << q)[:, 1].ravel().sum()
                      for q in range(state.n)])

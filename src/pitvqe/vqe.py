@@ -9,9 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+# The ufunc np.clip calls on float bounds, without its Python wrappers.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 from .ansatz import ParamCircuit, prepare
 from .hamiltonian import DiagonalCost
@@ -66,41 +72,47 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _row_costs(amps: np.ndarray, diag: np.ndarray) -> list[float]:
+    """Each row's cost under the diagonal, as floats.  A (1, 2^n) by (2^n,)
+    product per row runs the ddot of ``np.dot`` on that row, which one
+    (B, 2^n) by (2^n,) product would not."""
+    sq = amps * amps
+    return np.matmul(sq[:, None, :], diag)[:, 0].tolist()
+
+
 class Objective:
     """The cost of a circuit's state under a dense diagonal, as a descent
     step takes it.
 
-    ``values`` runs a (B, P) block of parameter rows and returns their costs,
-    each taken by one ``np.dot`` as ``expect_diagonal`` takes it; it books
-    nothing.  ``record`` books one cost in ``history``, so a line search
-    books only the trials it reaches; called directly the objective does both
-    for one row.  A kept point is (params, amplitudes, forward), where
-    ``forward`` is None or the (pass, row) of a ``Program.forward`` pass that
-    ran ``params``: ``point`` reuses ``state``, one the caller already has,
-    and those of the last block's rows, so amplitudes and the gradient at a
-    trial the line search ran take no forward pass of their own.  The state
-    is kept apart from the block, so an objective without one keeps no row
-    but the last block's.
+    ``values`` runs a (B, P) block of parameter rows and returns their costs
+    as floats, each row's taken by the same ddot as ``expect_diagonal``'s
+    ``np.dot``; it books nothing.  ``record`` books one cost in ``history``,
+    so a line search books only the trials it reaches; called directly the
+    objective does both for one row.  A kept point is (params, amplitudes,
+    forward), where ``forward`` is None or the (pass, row) of a
+    ``Program.forward`` pass that ran ``params``: ``point`` reuses ``state``,
+    one the caller already has, and the rows of the last block, built on
+    first lookup and then kept, so amplitudes and the gradient at a trial the
+    line search ran take no forward pass of their own.  The state is kept
+    apart from the block, so an objective without one keeps no row but the
+    last block's.
     """
 
     def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind,
                  history: list[tuple[int, float]], state=None):
         self.circuit, self.diag, self.init, self.history = circuit, diag, init, history
         self.n = circuit.n
-        self._state = [] if state is None else [state]
-        self._block: list[tuple] = []
-
-    def _cost(self, amps: np.ndarray) -> float:
-        return float(np.dot(amps * amps, self.diag))
+        self._state = state
+        self._rows = self._forward = self._keys = None
+        self._points: dict[bytes, tuple] = {}
 
     def _run(self, rows: np.ndarray) -> np.ndarray:
-        forward = self.circuit.program.forward(rows, self.init)
-        amps = forward[3]
-        self._block = [(row, amps[i], (forward, i)) for i, row in enumerate(rows)]
-        return amps
+        self._rows, self._keys, self._points = rows, None, {}
+        self._forward = self.circuit.program.forward(rows, self.init)
+        return self._forward[3]
 
-    def values(self, rows: np.ndarray) -> Iterator[float]:
-        return map(self._cost, self._run(rows))
+    def values(self, rows: np.ndarray) -> list[float]:
+        return _row_costs(self._run(rows), self.diag)
 
     def record(self, params: np.ndarray, value: float) -> float:
         self.history.append((len(self.history), value))
@@ -108,16 +120,34 @@ class Objective:
 
     def __call__(self, params: np.ndarray) -> float:
         params = self.circuit.bind(params)
-        return self.record(params, self._cost(self.amplitudes(params)))
+        amps = self.amplitudes(params)
+        return self.record(params, float(np.dot(amps * amps, self.diag)))
+
+    def _block_row(self, key: bytes) -> int:
+        """The first row of the last block whose bits are ``key``, or -1."""
+        if self._rows is None:
+            return -1
+        if self._keys is None:
+            self._keys = self._rows.tobytes()
+        at = self._keys.find(key)
+        while at > 0 and at % len(key):  # a match straddling two rows
+            at = self._keys.find(key, at + 1)
+        return at // len(key)
 
     def point(self, params: np.ndarray) -> tuple:
         """The point at ``params``: a kept one when its bits match, else run."""
         key = params.tobytes()
-        for point in self._state + self._block:
-            if point[0].tobytes() == key:
-                return point
-        self._run(params[None])
-        return self._block[0]
+        if self._state is not None and self._state[0].tobytes() == key:
+            return self._state
+        point = self._points.get(key)
+        if point is None:
+            row = self._block_row(key)
+            if row < 0:
+                self._run(params[None])
+                row = 0
+            point = (self._rows[row], self._forward[3][row], (self._forward, row))
+            self._points[key] = point
+        return point
 
     def amplitudes(self, params: np.ndarray) -> np.ndarray:
         return self.point(params)[1]
@@ -211,7 +241,7 @@ def gradient_adjoint(
     if np.shape(diag) != (1 << circuit.n,):
         raise ValueError(f"diagonal of shape {np.shape(diag)} for {circuit.n} qubits")
     grad = circuit.program.gradient(params, diag, init, forward)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise FloatingPointError(f"non-finite gradient at parameters {params!r}")
     return grad
 
@@ -244,7 +274,7 @@ def _window_converged(costs: list[float], tol: float, window: int = 10) -> bool:
 def _project(params: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
     if bounds is None:
         return params
-    return np.clip(params, bounds[0], bounds[1])
+    return _clip(params, bounds[0], bounds[1])
 
 
 def _line_search(
@@ -253,10 +283,14 @@ def _line_search(
     """Backtracking Armijo search along direction, projected into bounds.
 
     Trial steps t0 shrink^j run in blocks of ``BLOCK_AMPLITUDES >> f.n``
-    rows when ``f`` has ``values`` (a block's costs, no side effects) and
-    ``record`` (charge and record one cost); acceptance and ``record`` then
-    replay trial by trial, so rows past the accepted trial count for nothing.
-    A plain callable is a block of one that records as it evaluates.
+    rows when ``f`` has ``values`` (a block's costs as floats, no side
+    effects) and ``record`` (charge and record one cost): one call costs the
+    whole block, then the trials replay in order, each recorded and given
+    the Armijo test on its float, up to the first accepted one.  Charges,
+    history, the budget and the non-finite check so act at the trial they
+    would act at one trial at a time, and rows past the accepted trial count
+    for nothing.  A plain callable is a block of one that records as it
+    evaluates.
 
     Returns (new_params, new_cost, accepted_step).
     """
@@ -339,7 +373,9 @@ class DescentState:
         )
         if not self.quasi_newton:
             self.step_scale = min(max(t * 4.0, 1.0), 1e15)
-        if new_fx >= self.fx - 1e-15 and np.allclose(new_params, self.params):
+        # np.allclose's test on finite parameters, without its wrapper
+        if new_fx >= self.fx - 1e-15 and bool((abs(new_params - self.params) <= (
+                1e-8 + 1e-5 * abs(self.params))).all()):
             return True
         old_params = self.params
         self.params, self.fx, self._pending = new_params, new_fx, (grad, new_params)

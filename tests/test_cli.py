@@ -212,6 +212,20 @@ GOLDEN = {
         "run.meta": "08bbc0be4cdcf97040fa8ea98d61dca6c9a819c8990d5897d3f55b6a7eaec7e5",
         "stdout": "2ca1c42fb15f311d551f10b65e0378933b43949f740b0d80ba3d6db471c8d43b",
     }),
+    "decompose-step9-qnb-rows": ([*DECOMPOSE_STEP9, "--optimizer", "qnb"], {
+        "distribution.csv": "8471eabb76bd4a95aeb635a2b844bb4af3bd66ad8e8bbce4f588b3c1320473f8",
+        "fragments.csv": "f9281ff6ac985e9f18b0affdde44465782514434ddfd6a8b19fbb7939ad1ee16",
+        "run.meta": "9b606bbed8a68c69513925bcea0a65cf69778b2df49325dc44f81b92adcd8cfd",
+        "stdout": "729d630fb851b29a0cf9b3011842df9f7b2bf106ac095f93e19b1a02f2623f44",
+    }),
+    "decompose-step9-qnb-columns": (
+        [*DECOMPOSE_STEP9, "--optimizer", "qnb", "--partition", "columns.txt"], {
+            "distribution.csv":
+                "7295227040c4b383ea0c9330d5f36c1add9e03013481530e966bfa161ab5e6ea",
+            "fragments.csv": "3a7487a5c787b8574c0b642dca41ce3798bcdfd43c5af9b7899cda570b4e9e71",
+            "run.meta": "03141a0ef9289cb6b233f6bd479b24577b89f38266c8a2cf8f81498bc4cc532c",
+            "stdout": "9357d384396f279f0f114687505467702ad787cf164e3eef5fa28cf110204554",
+        }),
     "sample-mini4": (SAMPLE_MINI4, {
         "counts.csv": "54fca546ebb22b9d18d06c0d3e3babc5f9b0736d82e9e3b1a6ea5806ce44c25d",
         "distribution.csv": "420bdf671c112a8feb25e7630a9ed9dc09769ca2db1772c12ac5e13a61ac39ad",

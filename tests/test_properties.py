@@ -1,10 +1,11 @@
 """Property tests: the compiled engine and its adjoint gradient against the
 gate-by-gate kernels and central differences, the evaluation budget, blocks
-of rows against single runs, gradients from a kept forward pass against
-fresh ones, block line searches against plain callables, the cost tables
+of rows against single runs, block costs against a dot per row, gradients
+from a kept forward pass against fresh ones and on Python floats against
+numpy scalars, block line searches against plain callables, the cost tables
 against per-bitstring sums, the marginals and the product distribution
-against index-mask loops, and the distribution CSV against Python's
-per-row format."""
+against index-mask loops and per-qubit copies, and the distribution CSV
+against Python's per-row format."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -28,8 +29,10 @@ from pitvqe.hamiltonian import DiagonalCost, _index_table, index_to_bits
 from pitvqe.lattice import Block, PitLattice, make_lattice, profit, smoothness
 from pitvqe.sampling import distribution_to_csv
 from pitvqe.simulator import (
+    MARGINAL_TABLE_QUBITS,
     InitKind,
     StateVector,
+    _bit_set_indices,
     apply_cry,
     apply_ry,
     excavation_probabilities,
@@ -42,6 +45,8 @@ from pitvqe.vqe import (
     VqeConfig,
     _BudgetExhausted,
     _Evaluator,
+    _line_search,
+    _row_costs,
     gradient_adjoint,
     gradient_fd,
     run,
@@ -274,6 +279,122 @@ def test_gradient_from_a_kept_row_equals_a_fresh_gradient_bitwise(data, circuit,
     assert forward[3].tobytes() == amps.tobytes()  # the kept pass is not swept
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 128), st.integers(0, 2**32 - 1))
+def test_block_costs_match_a_dot_per_row_bitwise(n, rows, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(rows, 1 << n))
+    diag = np.where(rng.random(1 << n) < 0.5, rng.integers(-9, 9, 1 << n),
+                    rng.normal(scale=7.0, size=1 << n))
+    want = [float(np.dot(row * row, diag)) for row in amps]
+    assert np.array(_row_costs(amps, diag)).tobytes() == np.array(want).tobytes()
+
+
+class _ScriptedObjective:
+    """Trial j of a line search from 0 along -1 at t0 = 1 costs ``costs[j]``.
+
+    ``values`` and ``record`` follow ``_Evaluator``: record charges one
+    evaluation of ``budget`` and rejects a non-finite cost before booking it.
+    """
+
+    def __init__(self, n, costs, budget):
+        self.n, self.costs, self.budget = n, costs, budget
+        self.booked = []
+
+    def _cost(self, cand):
+        return self.costs[round(-np.log2(-cand[0]))]  # cand = -0.5^j
+
+    def values(self, rows):
+        return [self._cost(row) for row in rows]
+
+    def record(self, params, value):
+        if len(self.booked) == self.budget:
+            raise _BudgetExhausted
+        if not np.isfinite(value):
+            raise FloatingPointError(value)
+        self.booked.append((params.tobytes(), value))
+        return value
+
+    def __call__(self, params):
+        return self.record(params, self._cost(params))
+
+
+def _search_outcome(f):
+    try:
+        cand, fc, step = _line_search(f, np.zeros(3), 1.0, -np.ones(3), -3.0, None)
+    except (_BudgetExhausted, FloatingPointError) as exc:
+        return type(exc).__name__
+    return cand.tobytes(), fc, step
+
+
+trial_costs = st.lists(st.sampled_from([2.0, 2.0, 2.0, 0.5, 1.0, np.nan, np.inf,
+                                        -np.inf]), min_size=60, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), trial_costs, st.integers(0, 70))
+def test_block_line_search_replays_trials_as_a_plain_callable_runs_them(n, costs,
+                                                                        budget):
+    block = _ScriptedObjective(n, costs, budget)
+    plain = _ScriptedObjective(n, costs, budget)
+    assert _search_outcome(block) == _search_outcome(lambda theta: plain(theta))
+    assert block.booked == plain.booked
+
+
+@pytest.mark.parametrize("stop, budget, want", [
+    (np.nan, 20, "FloatingPointError"),  # a non-finite cost mid-block
+    (-np.inf, 20, "FloatingPointError"),  # one that would pass the Armijo test
+    (2.0, 5, "_BudgetExhausted"),  # the budget runs out mid-block
+    (2.0, 20, None),  # trial 9 accepted, rows 10-15 not booked
+])
+def test_block_line_search_stops_mid_block_at_the_plain_trial(stop, budget, want):
+    costs = [2.0] * 60
+    costs[5], costs[9] = stop, 0.5
+    block = _ScriptedObjective(4, costs, budget)  # one block of 16 trials
+    plain = _ScriptedObjective(4, costs, budget)
+    got = _search_outcome(block)
+    assert got == _search_outcome(lambda theta: plain(theta))
+    assert block.booked == plain.booked
+    if want is None:
+        assert got[1:] == (0.5, 0.5 ** 9) and len(block.booked) == 10
+    else:
+        assert got == want and len(block.booked) == min(5, budget)
+
+
+def _gradient_on_numpy_scalars(program, params, diag, init):
+    """``Program.gradient`` with the gradient accumulated in an array and the
+    layer terms taken on numpy scalars."""
+    (v, prefixes, rotations, phi), row = program.forward(params[None], init), 0
+    v, phi = v[row], phi[row].copy()
+    lam = diag * phi
+    grad = np.zeros(params.size)
+    for k in range(len(program.tail_pairs) - 1, -1, -1):
+        pairs = program.tail_pairs[k]
+        a, l = phi.take(pairs), lam.take(pairs)
+        grad[program.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
+        back = rotations[k, row].T
+        phi[pairs] = back @ a
+        lam[pairs] = back @ l
+    rest = lam
+    for q in range(program.n - 1, -1, -1):
+        rest = rest.reshape(2, -1)
+        if program.layer_param[q] >= 0:
+            d0, d1 = rest @ prefixes[q][row, 0]
+            grad[program.layer_param[q]] += v[0, q] * d1 - v[1, q] * d0
+        rest = v[:, q] @ rest
+    return grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.one_of(hand_circuits(), lattices().map(build_circuit)), inits)
+def test_gradient_on_python_floats_matches_numpy_scalars_bitwise(data, circuit, init):
+    params = data.draw(angles(circuit.param_count))
+    diag = data.draw(arrays(np.float64, 1 << circuit.n, elements=st.floats(-5, 5)))
+    got = circuit.program.gradient(params, diag, init)
+    want = _gradient_on_numpy_scalars(circuit.program, params, diag, init)
+    assert got.tobytes() == want.tobytes()
+
+
 def _descend(f, grad, params, bounds, quasi_newton, iterates=40):
     """Iterate until convergence, budget exhaustion or ``iterates`` steps;
     returns the state and the number of the iterate that ran out of budget."""
@@ -345,6 +466,21 @@ def test_marginals_match_index_mask_sums_bitwise(n, seed):
     p, index = probabilities(state), np.arange(1 << n)
     want = np.array([p[(index >> q) & 1 == 1].sum() for q in range(n)])
     assert excavation_probabilities(state).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [MARGINAL_TABLE_QUBITS - 1, MARGINAL_TABLE_QUBITS,
+                               MARGINAL_TABLE_QUBITS + 1])
+def test_marginal_table_matches_the_per_qubit_copies_around_its_bound(n):
+    amps = np.random.default_rng(n).normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    p = probabilities(state)
+    by_copies = np.array([p.reshape(-1, 2, 1 << q)[:, 1].ravel().sum() for q in range(n)])
+    by_table = p.take(_bit_set_indices(n)).sum(axis=1)
+    assert by_table.tobytes() == by_copies.tobytes()
+    _bit_set_indices.cache_clear()
+    assert excavation_probabilities(state).tobytes() == by_copies.tobytes()
+    # the table is kept only up to the bound
+    assert _bit_set_indices.cache_info().currsize == int(n <= MARGINAL_TABLE_QUBITS)
 
 
 def _product_by_shifts(problems, states, n):

@@ -55,9 +55,18 @@ def test_flip_model_matrix_layout():
     assert m[1, 0] == pytest.approx(0.015)
 
 
+def _full_matrix(model):
+    """Dense channel over all 2^n outcomes, the reference the matrix-free
+    operations are checked against; qubit 0 is the least significant bit."""
+    full = np.ones((1, 1))
+    for m in model.matrices:  # kron in reverse places qubit 0 at the LSB
+        full = np.kron(m, full)
+    return full
+
+
 def test_full_matrix_qubit0_least_significant():
     model = ReadoutModel((np.array([[0.9, 0.0], [0.1, 1.0]]), np.eye(2)))
-    full = model.full_matrix()
+    full = _full_matrix(model)
     # a flip on qubit 0 mixes indices 0 and 1, not 0 and 2
     assert full[1, 0] == pytest.approx(0.1)
     assert full[2, 0] == pytest.approx(0.0)
@@ -148,7 +157,7 @@ def _mitigate_dense(noisy, model):
     """Dense NNLS on the full channel, the sum constraint as a heavy extra row."""
     dim = 1 << model.n
     weight = 1e4
-    x, _ = nnls(np.vstack([model.full_matrix(), weight * np.ones((1, dim))]),
+    x, _ = nnls(np.vstack([_full_matrix(model), weight * np.ones((1, dim))]),
                 np.concatenate([noisy, [weight]]))
     return x / x.sum()
 
@@ -178,7 +187,7 @@ def test_corrupt_distribution_matches_the_dense_channel(n, seed):
     model = _asymmetric_model(n, seed)
     dist = np.random.default_rng(seed).dirichlet(np.ones(1 << n))
     assert np.allclose(corrupt_distribution(dist, model),
-                       model.full_matrix() @ dist, rtol=0, atol=1e-15)
+                       _full_matrix(model) @ dist, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=25, deadline=None)
