@@ -57,14 +57,15 @@ class ParamCircuit:
         return params
 
     @cached_property
-    def rotation_groups(self) -> tuple[np.ndarray, ...]:
-        """Parameter ids per target qubit, in gate order: the single rotation
-        on a qubit together with every controlled rotation targeting it."""
+    def shared_rotation_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Parameter ids per target qubit, in gate order, for each qubit that
+        two or more rotations target: its single rotation together with every
+        controlled rotation targeting it."""
         groups: dict[int, list[int]] = {}
         for g in self.gates:
             target = g.qubit if isinstance(g, SingleRy) else g.target
             groups.setdefault(target, []).append(g.param_id)
-        return tuple(np.array(ids) for ids in groups.values())
+        return tuple(tuple(ids) for ids in groups.values() if len(ids) > 1)
 
     @cached_property
     def program(self) -> Program:

@@ -277,15 +277,23 @@ def boundary_kick(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def sum_constraint_project(circuit: ParamCircuit, params: np.ndarray) -> np.ndarray:
     """Rescale the circuit's rotation groups whose parameter sum exceeds the
-    upper bound; groups with no controlled member are left alone."""
+    upper bound; groups with no controlled member are left alone.
+
+    A group has a few members, so its sum and rescale run on Python floats,
+    whose arithmetic is numpy's: the sum adds the members in gate order, as
+    ``.sum()`` does for fewer than 8 terms.
+    """
     upper = BOUNDS[1]
     out = np.array(params, dtype=float)
-    for ids in circuit.rotation_groups:
-        if len(ids) < 2:
-            continue
-        total = out[ids].sum()
+    values = out.tolist()
+    for ids in circuit.shared_rotation_groups:
+        total = values[ids[0]]
+        for k in ids[1:]:
+            total += values[k]
         if total > upper:
-            out[ids] *= upper / total
+            scale = upper / total
+            for k, v in zip(ids, [values[k] * scale for k in ids]):
+                out[k] = values[k] = v
     return out
 
 

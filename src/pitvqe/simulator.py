@@ -115,6 +115,38 @@ def apply_cry(state: StateVector, control: int, target: int, theta: float) -> St
     return state
 
 
+def _insert_zero(x: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """``x`` with a zero bit inserted at position ``bit``, higher bits moved up."""
+    return (x >> bit << (bit + 1)) | (x & ((1 << bit) - 1))
+
+
+def _tail_pairs(n: int, control: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
+    """Each gate's (2, m) pairs: the basis indices with target bit 0 (and
+    control bit 1), in ascending order, over the same with target bit 1.
+
+    The free bits of all gates of a kind count up together: inserting the
+    fixed bits into ``arange``, lowest position first, keeps every row
+    ascending.  Each kind's pairs are one (K, 2, m) table, and each gate
+    gets its row as a view.
+    """
+    pairs: list = [None] * len(control)
+    for controlled in (False, True):
+        gates = np.flatnonzero((control >= 0) == controlled)
+        if not gates.size:
+            continue
+        c, t = control[gates, None], target[gates, None]
+        lo = np.arange(1 << (n - 1 - controlled))
+        if controlled:
+            lo = _insert_zero(_insert_zero(lo, np.minimum(c, t)), np.maximum(c, t))
+            lo |= 1 << c
+        else:
+            lo = _insert_zero(lo, t)
+        table = np.stack((lo, lo | (1 << t)), axis=1)
+        for gate, row in zip(gates.tolist(), table):
+            pairs[gate] = row
+    return pairs
+
+
 class Program:
     """A circuit compiled to flat arrays.
 
@@ -145,16 +177,13 @@ class Program:
         self._layer_trig = np.array((cos_at, cos_at + 1))  # (2, n): c, s
         cos_at = 2 * (self.tail_param + 1)
         self._tail_trig = np.array(((cos_at, cos_at + 1), (cos_at + 1, cos_at)))
-        index = np.arange(1 << n)
-        self.tail_pairs = []
         for control, target in zip(tail_control, tail_target):
             if control < 0:
                 _check_qubit(n, target)
-                lo = index[(index >> target) & 1 == 0]
             else:
                 _check_pair(n, control, target)
-                lo = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
-            self.tail_pairs.append(np.stack((lo, lo | (1 << target))))
+        self.tail_pairs = _tail_pairs(n, np.asarray(tail_control, dtype=np.intp),
+                                      np.asarray(tail_target, dtype=np.intp))
         self._blocks: dict[int, tuple] = {}
 
     def _block(self, b: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -165,8 +194,12 @@ class Program:
         if block is None:
             ones = np.ones((b, 1, 1))
             ones.setflags(write=False)
-            offsets = (np.arange(b) << self.n)[:, None, None]
-            block = self._blocks[b] = ones, [p + offsets for p in self.tail_pairs]
+            if b == 1:  # a block of one row reads the gates' own pairs
+                pairs = [p[None] for p in self.tail_pairs]
+            else:
+                offsets = (np.arange(b) << self.n)[:, None, None]
+                pairs = [p + offsets for p in self.tail_pairs]
+            block = self._blocks[b] = ones, pairs
         return block
 
     def forward(self, rows: np.ndarray, init: InitKind):

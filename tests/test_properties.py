@@ -4,15 +4,17 @@ of rows against single runs, block costs against a dot per row, gradients
 from a kept forward pass against fresh ones and on Python floats against
 numpy scalars, block line searches against plain callables, the cost tables
 against per-bitstring sums, the marginals and the product distribution
-against index-mask loops and per-qubit copies, and the distribution CSV
-against Python's per-row format."""
+against index-mask loops and per-qubit copies, the distribution CSV
+against Python's per-row format, the compiled gates' index pairs against
+per-gate masks, and the sum-constraint projection against a loop over
+rotation groups."""
 
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pitvqe.ansatz import ControlledRy, ParamCircuit, SingleRy, build_circuit, prepare
@@ -24,6 +26,7 @@ from pitvqe.decomposition import (
     partition_custom,
     partition_horizontal,
     scf_run,
+    sum_constraint_project,
 )
 from pitvqe.hamiltonian import DiagonalCost, _index_table, index_to_bits
 from pitvqe.lattice import Block, PitLattice, make_lattice, profit, smoothness
@@ -31,6 +34,7 @@ from pitvqe.sampling import distribution_to_csv
 from pitvqe.simulator import (
     MARGINAL_TABLE_QUBITS,
     InitKind,
+    Program,
     StateVector,
     _bit_set_indices,
     apply_cry,
@@ -554,3 +558,62 @@ def test_distribution_csv_matches_the_per_row_format_on_every_edge_case():
     dist = np.random.default_rng(3).uniform(size=1 << n)
     dist[:len(edges)] = edges
     assert distribution_to_csv(dist, n) == _csv_by_rows(dist, n)
+
+
+def _pairs_by_masks(n, control, target):
+    """A gate's index pairs as the per-gate mask passes built them."""
+    index = np.arange(1 << n)
+    if control < 0:
+        lo = index[(index >> target) & 1 == 0]
+    else:
+        lo = index[((index >> control) & 1 == 1) & ((index >> target) & 1 == 0)]
+    return np.stack((lo, lo | (1 << target)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_pair_tables_match_the_per_gate_masks(n):
+    """Every Ry and every (control, target) CRy, the two kinds interleaved."""
+    gates = [(-1, t) for t in range(n)] + [(c, t) for c in range(n) for t in range(n)
+                                           if c != t]
+    gates = [gates[k] for k in np.random.default_rng(n).permutation(len(gates))]
+    control, target = zip(*gates)
+    program = Program(n, [-1] * n, range(len(gates)), control, target)
+    for pairs, (c, t) in zip(program.tail_pairs, gates, strict=True):
+        want = _pairs_by_masks(n, c, t)
+        assert (pairs.dtype, pairs.shape) == (want.dtype, want.shape)
+        assert pairs.tobytes() == want.tobytes()
+
+
+def _project_by_groups(circuit, params):
+    """The per-group loop the column sums replaced."""
+    groups = {}
+    for g in circuit.gates:
+        groups.setdefault(g.qubit if isinstance(g, SingleRy) else g.target, []).append(
+            g.param_id)
+    out = np.array(params, dtype=float)
+    for ids in groups.values():
+        ids = np.array(ids)
+        if len(ids) >= 2 and out[ids].sum() > np.pi:
+            out[ids] *= np.pi / out[ids].sum()
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.one_of(hand_circuits(), lattices().map(build_circuit)))
+def test_sum_constraint_projection_matches_the_group_loop_bitwise(data, circuit):
+    # .sum() adds 8 or more terms pairwise, the projection one by one
+    assume(max(map(len, circuit.shared_rotation_groups), default=0) < 8)
+    params = data.draw(arrays(np.float64, circuit.param_count,
+                              elements=st.floats(0.0, np.pi)))
+    got = sum_constraint_project(circuit, params)
+    assert got.tobytes() == _project_by_groups(circuit, params).tobytes()
+
+
+def test_sum_constraint_projection_matches_the_group_loop_on_shared_parameter_ids():
+    # p0 and p1 sit in the groups of qubits 0 and 1; p2 twice in qubit 2's
+    gates = (SingleRy(0, 0), ControlledRy(1, 0, 1), SingleRy(1, 1), ControlledRy(0, 1, 0),
+             SingleRy(2, 2), ControlledRy(0, 2, 2))
+    circuit = ParamCircuit(3, gates)
+    params = np.array([2.5, 1.5, 2.0, 0.0, 0.0, 0.0])
+    got = sum_constraint_project(circuit, params)
+    assert got.tobytes() == _project_by_groups(circuit, params).tobytes()

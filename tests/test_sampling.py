@@ -1,6 +1,11 @@
-"""Finite shots, readout corruption, mitigation, and distribution distance."""
+"""Finite shots, readout corruption, mitigation, and distribution distance.
+
+The stacked readout-model checks, the batched mitigation set-up, the shot
+histogram and the chunked shot flips are checked bitwise against the
+per-qubit, per-matrix, per-entry and per-shot code they replace."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from scipy.optimize import nnls
 from pitvqe.sampling import (
     Counts,
     ReadoutModel,
+    _normal_factors,
     bhattacharyya,
     corrupt_counts,
     corrupt_distribution,
@@ -25,7 +31,7 @@ from pitvqe import bundled_instance_path
 from pitvqe.ansatz import build_circuit, prepare
 from pitvqe.hamiltonian import QUBIT_CAP
 from pitvqe.lattice import load_instance
-from pitvqe.simulator import InitKind, apply_ry, init_state, probabilities
+from pitvqe.simulator import InitKind, StateVector, apply_ry, init_state, probabilities
 
 
 def test_counts_histogram_consistency():
@@ -219,6 +225,23 @@ def test_readout_channel_checks_qubit_cap_first():
         corrupt_counts(Counts(shots=1, histogram={0: 1}), model, seed=0)
 
 
+def test_counts_rejects_negative_outcomes_and_counts_below_one():
+    with pytest.raises(ValueError, match="negative outcome"):
+        Counts(2, {-1: 1, 0: 1})
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="count below 1"):
+            Counts(2, {0: 2 - bad, 1: bad})
+
+
+def test_outcomes_beyond_the_qubit_count_raise():
+    counts = Counts(2, {5: 2})
+    assert counts.to_distribution(3)[5] == 1.0
+    with pytest.raises(ValueError, match="outcome 5 outside the 4 outcomes of 2 qubits"):
+        counts.to_distribution(2)
+    with pytest.raises(ValueError, match="outcome 5 outside the 4 outcomes of 2 qubits"):
+        corrupt_counts(counts, flip_model(2), seed=0)
+
+
 def test_load_readout_model(tmp_path):
     path = tmp_path / "noise.txt"
     path.write_text("# per-qubit flips\nq2 0.03 0.015\n\nq0 0.1 0.2  # noisy\n")
@@ -232,6 +255,14 @@ def test_load_readout_model(tmp_path):
     path.write_text("q3 0.1 0.2\n")
     with pytest.raises(ValueError, match=":1: qubit 3 out of range"):
         load_readout_model(path, 3)
+
+
+def test_load_readout_model_rejects_a_second_line_for_a_qubit(tmp_path):
+    path = tmp_path / "noise.txt"
+    path.write_text("q0 0.1 0.2\nq1 0.1 0.2\n# again\nq0 0.03 0.015\n")
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}:4: qubit 0 already set on line 1")):
+        load_readout_model(path, 2)
 
 
 def test_bhattacharyya_closed_forms():
@@ -301,3 +332,160 @@ def test_sample_survives_a_probability_rounded_above_one():
     assert probabilities(state).max() > 1.0  # the rounding this guards against
     counts = sample(state, 1000, seed=2)
     assert counts.histogram == {15: 1000}
+
+
+def _checked_per_qubit(matrices):
+    """The per-qubit checks the stacked ones replaced."""
+    for k, m in enumerate(matrices):
+        m = np.asarray(m, dtype=float)
+        if m.shape != (2, 2):
+            raise ValueError(f"qubit {k}: confusion matrix must be 2x2")
+        if np.any(m < 0) or np.any(m > 1):
+            raise ValueError(f"qubit {k}: entries must lie in [0, 1]")
+        if not np.allclose(m.sum(axis=0), 1.0, atol=1e-12):
+            raise ValueError(f"qubit {k}: columns must sum to 1")
+
+
+# each flaw turns a valid 2x2 into a matrix, maybe invalid, for one qubit
+_FLAWS = {
+    "valid": lambda m: m,
+    "nested list": lambda m: m.tolist(),
+    "within rtol": lambda m: m + [[5e-6, 0.0], [0.0, 0.0]],
+    "3x3": lambda m: np.eye(3),
+    "one row": lambda m: m[:1],
+    "scalar": lambda m: 0.5,
+    "text": lambda m: [["a", "b"], ["c", "d"]],
+    "outside [0, 1]": lambda m: np.array([[1.5, 0.0], [-0.5, 1.0]]),
+    "column sum": lambda m: 0.9 * m,
+    "beyond rtol": lambda m: m + [[2e-5, 0.0], [0.0, 0.0]],
+    "nan": lambda m: np.full((2, 2), np.nan),
+    "inf": lambda m: np.array([[np.inf, 0.0], [0.0, 1.0]]),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_FLAWS)), max_size=8), st.integers(0, 10**6))
+def test_stacked_readout_checks_raise_what_the_per_qubit_checks_raise(flaws, seed):
+    valid = _asymmetric_model(len(flaws), seed).matrices
+    matrices = tuple(_FLAWS[f](np.array(m)) for f, m in zip(flaws, valid))
+    try:
+        _checked_per_qubit(matrices)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            ReadoutModel(matrices)
+        return
+    model = ReadoutModel(matrices)
+    assert model.stack.shape == (len(flaws), 2, 2) and not model.stack.flags.writeable
+    for m, given_m in zip(model.matrices, matrices, strict=True):
+        assert m.base is model.stack and not m.flags.writeable
+        assert m.tobytes() == np.asarray(given_m, dtype=float).tobytes()
+
+
+def _normal_factors_per_matrix(model):
+    """The per-matrix det, SVD and Gram factors the batched calls replaced."""
+    for k, m in enumerate(model.matrices):
+        if abs(np.linalg.det(m)) < 1e-12:
+            raise FloatingPointError(f"qubit {k}: confusion matrix is singular")
+    sigmas = [np.linalg.svd(m, compute_uv=False) for m in model.matrices]
+    lipschitz = math.prod(s[0] ** 2 for s in sigmas)
+    mu = math.prod(s[1] ** 2 for s in sigmas)
+    gram = tuple(m.T @ m / s[0] ** 2 for m, s in zip(model.matrices, sigmas, strict=True))
+    return lipschitz, mu, gram
+
+
+def _mixed_model(n, seed, identities, singular=()):
+    """Distinct asymmetric factors, with the identity on the qubits in
+    ``identities`` and an all-1/2 matrix on those in ``singular``."""
+    mats = list(_asymmetric_model(n, seed).matrices)
+    for q in identities:
+        mats[q % n] = np.eye(2)
+    for q in singular:
+        mats[q % n] = np.full((2, 2), 0.5)
+    return ReadoutModel(tuple(mats))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.lists(st.integers(0, 11)),
+       st.lists(st.integers(0, 11), max_size=2))
+def test_batched_normal_factors_match_the_per_matrix_calls_bitwise(n, seed, identities,
+                                                                   singular):
+    model = _mixed_model(n, seed, identities, singular)
+    try:
+        lipschitz, mu, gram = _normal_factors_per_matrix(model)
+    except FloatingPointError as error:
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(str(error))}$"):
+            _normal_factors(model)
+        return
+    got_lipschitz, got_mu, got_gram = _normal_factors(model)
+    assert (got_lipschitz, got_mu) == (lipschitz, mu)
+    assert [g.tobytes() for g in got_gram] == [g.tobytes() for g in gram]
+
+
+def _mitigate_per_matrix(noisy, model):
+    """mitigate as it ran with per-matrix set-up and two differences per step."""
+    lipschitz, mu, gram = _normal_factors_per_matrix(model)
+    root_kappa = math.sqrt(lipschitz / mu)
+    momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
+
+    def project(v):
+        u = np.sort(v)[::-1]
+        excess = np.cumsum(u) - 1.0
+        rank = np.flatnonzero(u * np.arange(1, v.size + 1) > excess)[-1]
+        return np.maximum(v - excess[rank] / (rank + 1), 0.0)
+
+    target = corrupt_distribution(noisy, _Factors([m.T for m in model.matrices])) / lipschitz
+    x = y = project(noisy)
+    while True:
+        x_next = project(y - corrupt_distribution(y, _Factors(gram)) + target)
+        if float(np.abs(x_next - x).max()) <= 1e-14:
+            return x_next
+        y = x_next + momentum * (x_next - x)
+        x = x_next
+
+
+class _Factors:
+    """2x2 factors in the place of a model, which would reject them as not
+    column-stochastic."""
+
+    def __init__(self, matrices):
+        self.matrices = tuple(matrices)
+        self.n = len(matrices)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 10**6), st.lists(st.integers(0, 8), max_size=3))
+def test_mitigate_matches_the_per_matrix_set_up_bitwise(n, seed, identities):
+    model = _mixed_model(n, seed, identities)
+    raw = corrupt_counts(_sampled(n, seed, 4096), model, seed).to_distribution(n)
+    assert mitigate(raw, model).tobytes() == _mitigate_per_matrix(raw, model).tobytes()
+
+
+def _sparse_state(n, seed):
+    """A normalized state with about half its amplitudes zero."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n) * (rng.random(1 << n) < 0.5)
+    amps[rng.integers(1 << n)] = 1.0
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.integers(1, 10_000))
+def test_sample_histogram_matches_the_per_entry_comprehension(n, seed, shots):
+    state = _sparse_state(n, seed)
+    drawn = np.random.default_rng(seed).multinomial(
+        shots, np.clip(probabilities(state), 0.0, 1.0))
+    want = {int(i): int(c) for i, c in enumerate(drawn) if c}
+    got = sample(state, shots, seed).histogram
+    assert list(got.items()) == list(want.items())
+    assert all(type(k) is int and type(v) is int for k, v in got.items())
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 10**6), st.integers((1 << 14) + 1, (1 << 14) + 4096))
+def test_chunked_corrupt_counts_matches_the_per_shot_loop(n, seed, shots):
+    counts = _sampled(n, seed, shots)
+    model = _asymmetric_model(n, seed + 1)
+    noisy = corrupt_counts(counts, model, seed + 2)
+    want = _corrupt_counts_loop(counts, model, seed + 2)
+    assert list(noisy.histogram.items()) == sorted(want.items())
+    assert all(type(k) is int for k in noisy.histogram)
