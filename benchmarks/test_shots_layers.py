@@ -1,9 +1,11 @@
-"""Per-call timings of the shots pipeline's layers at n = 8 and n = 11.
+"""Per-call timings of the shots pipeline's layers at n = 8 and n = 11, and
+of one readout-channel pass at n = 8, 11 and 16.
 
 Each case times one public call on inputs shaped like a ``pitvqe sample``
 run: rows of 4, 4 (and 3) blocks starting at column 0, Ry angles near pi on
 the upper-left blocks and near 0 elsewhere, CRy angles near 0, 8192 shots
-and the default flip model.
+and the default flip model.  The channel pass corrupts a seeded Dirichlet
+distribution, since a 16-block circuit is not needed to time it.
 
     python -m pytest benchmarks                        # time every case
     python -m pytest benchmarks --benchmark-disable    # run each case once
@@ -16,7 +18,8 @@ import pytest
 
 from pitvqe.ansatz import ParamCircuit, SingleRy, build_circuit, prepare
 from pitvqe.lattice import make_lattice
-from pitvqe.sampling import corrupt_counts, flip_model, mitigate, sample
+from pitvqe.sampling import (corrupt_counts, corrupt_distribution, flip_model, mitigate,
+                             sample)
 from pitvqe.simulator import InitKind
 
 SHOTS = 8192
@@ -60,6 +63,13 @@ def test_sample(benchmark, shots):
 def test_corrupt_counts(benchmark, shots):
     _, _, model, counts, _ = shots
     assert benchmark(corrupt_counts, counts, model, 8).shots == SHOTS
+
+
+@pytest.mark.parametrize("n", [8, 11, 16], ids=lambda n: f"n{n}")
+def test_corrupt_distribution(benchmark, n):
+    dist = np.random.default_rng(n).dirichlet(np.ones(1 << n))
+    noisy = benchmark(corrupt_distribution, dist, flip_model(n))
+    assert noisy.sum() == pytest.approx(1.0)
 
 
 def test_mitigate(benchmark, shots):

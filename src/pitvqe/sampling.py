@@ -72,13 +72,17 @@ class ReadoutModel:
 
     The matrices are validated and stored as one read-only (n, 2, 2) float
     array, ``stack``; ``matrices[q]`` is the read-only view of its q-th
-    matrix, so both describe the same memory.
+    matrix, so both describe the same memory.  A model covers at least one
+    qubit.  Models are equal when their stacks are equal entry by entry, and
+    equal models hash alike.
     """
 
     matrices: tuple[np.ndarray, ...]  # one column-stochastic 2x2 per qubit
     stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.matrices:
+            raise ValueError("a readout model needs at least one qubit")
         try:
             stack = np.array(self.matrices, dtype=float)
         except (TypeError, ValueError):
@@ -101,6 +105,15 @@ class ReadoutModel:
     @property
     def n(self) -> int:
         return len(self.matrices)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReadoutModel):
+            return NotImplemented
+        return np.array_equal(self.stack, other.stack)
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.stack + 0.0).tobytes())
 
 
 def _checked_matrix(k: int, m) -> np.ndarray:
@@ -184,14 +197,27 @@ def _check_model_size(model: ReadoutModel) -> None:
 def _apply_channel(matrices, x: np.ndarray) -> np.ndarray:
     """Apply the tensor product of per-qubit 2x2 ``matrices`` to ``x``.
 
-    Qubit q is bit q of the index, so axis 1 of the (-1, 2, 2^q) view is
-    that bit; each factor is one batched 2x2 product.  For qubit 0 a batched
-    product would be 2^(n-1) separate 2x2 by 2x1 products, so that factor is
-    one contraction.
+    Qubit q is bit q of the index.  Each factor contracts the lowest bit,
+    the last axis of the (2^(n-1), 2) view, and writes its output bit as the
+    highest, the first axis of the (2, 2^(n-1)) result (the cyclic shuffle
+    product, Fernandes, Plateau & Stewart 1998).  Every factor moves the
+    other bits down by one, so factor q finds qubit q in bit 0, and after
+    all n factors each bit has turned full circle back to its own place.
+    Each factor for q >= 1 is one 2x2 by 2 x 2^(n-1) BLAS product.  Qubit
+    0's factor runs elementwise as (0 + m[o,0] x0) + m[o,1] x1, on a
+    contiguous copy of the two halves: that is the unfused sum the einsum
+    for qubit 0 always computed, where a BLAS product would fuse the
+    multiply and add and move last bits, and the 0 + turns a sum of two
+    -0.0 products into +0.0.
     """
-    for q, m in enumerate(matrices):
-        x = x.reshape(-1, 2, 1 << q)
-        x = np.einsum("ob,kbl->kol", m, x) if q == 0 else np.matmul(m, x)
+    half = x.size >> 1
+    low = x.reshape(half, 2).T.copy()
+    m = matrices[0]
+    x = m[:, :1] * low[0]
+    x += 0.0
+    x += m[:, 1:] * low[1]
+    for m in matrices[1:]:
+        x = m @ x.reshape(half, 2).T
     return x.reshape(-1)
 
 
@@ -207,7 +233,7 @@ def corrupt_distribution(dist: np.ndarray, model: ReadoutModel) -> np.ndarray:
     _check_model_size(model)
     dist = np.asarray(dist, dtype=float)
     _check_outcomes(dist, model)
-    return _apply_channel(model.matrices, dist)
+    return _apply_channel(model.stack, dist)
 
 
 def corrupt_counts(counts: Counts, model: ReadoutModel, seed: int) -> Counts:
@@ -239,13 +265,23 @@ def corrupt_counts(counts: Counts, model: ReadoutModel, seed: int) -> Counts:
                   histogram=dict(zip(values.tolist(), freq.tolist(), strict=True)))
 
 
-def _project_simplex(v: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1}, by sorting (Duchi et al.
-    2008); ``ranks`` holds the floats 1, 2, ..., v.size."""
-    u = np.sort(v)[::-1]
-    excess = np.cumsum(u) - 1.0
+def _project_simplex(v: np.ndarray, ranks: np.ndarray, out: np.ndarray,
+                     work: np.ndarray) -> np.ndarray:
+    """Euclidean projection of ``v`` onto {x >= 0, sum(x) = 1}, by sorting
+    (Duchi et al. 2008), written into and returned as ``out``.
+
+    ``ranks`` holds the floats 1, 2, ..., v.size; the rows of the (2, v.size)
+    ``work`` block take the sorted copy and the partial sums.
+    """
+    ascending, excess = work
+    np.copyto(ascending, v)
+    ascending.sort()
+    u = ascending[::-1]
+    np.cumsum(u, out=excess)
+    excess -= 1.0
     rank = np.flatnonzero(u * ranks > excess)[-1]
-    return np.maximum(v - excess[rank] / (rank + 1), 0.0)
+    np.subtract(v, excess[rank] / (rank + 1), out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _normal_factors(model: ReadoutModel) -> tuple[float, float, np.ndarray]:
@@ -277,6 +313,11 @@ def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
     which sizes the iteration cap.  Stops once no probability moves by more
     than 1e-14 in a step; raises FloatingPointError for a singular channel
     or when the cap is reached first.
+
+    The iterates, the step and the projection's sorted copy and partial sums
+    live in vectors allocated once per call and updated in place; each step
+    runs the same operations in the same order as one that allocates fresh
+    vectors, so the result is the same to the bit.
     """
     _check_model_size(model)
     noisy = np.asarray(noisy, dtype=float).reshape(-1)
@@ -293,15 +334,23 @@ def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
     # the gradient step y - A^T (A y - p) / L, with A^T A / L a tensor product too
     target = _apply_channel(model.stack.transpose(0, 2, 1), noisy) / lipschitz
     ranks = np.arange(1.0, noisy.size + 1.0)
-    x = y = _project_simplex(noisy, ranks)
+    # x and x_next trade buffers each step, and y is built in the step's buffer
+    x, x_next, moved = (np.empty(noisy.size) for _ in range(3))
+    work = np.empty((2, noisy.size))
+    x = y = _project_simplex(noisy, ranks, x, work)
     for _ in range(cap):
-        x_next = _project_simplex(y - _apply_channel(gram, y) + target, ranks)
-        moved = x_next - x
-        step = float(np.abs(moved).max())
+        v = _apply_channel(gram, y)
+        np.subtract(y, v, out=v)
+        v += target
+        x_next = _project_simplex(v, ranks, x_next, work)
+        np.subtract(x_next, x, out=moved)
+        step = float(np.abs(moved, out=work[0]).max())
         if step <= _MITIGATE_TOL:
             return x_next
-        y = x_next + momentum * moved
-        x = x_next
+        moved *= momentum
+        moved += x_next
+        y = moved
+        x, x_next = x_next, x
     raise FloatingPointError(
         f"mitigation did not converge in {cap} iterations (last step {step:.1e})")
 

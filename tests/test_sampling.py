@@ -1,8 +1,9 @@
 """Finite shots, readout corruption, mitigation, and distribution distance.
 
-The stacked readout-model checks, the batched mitigation set-up, the shot
-histogram and the chunked shot flips are checked bitwise against the
-per-qubit, per-matrix, per-entry and per-shot code they replace."""
+The stacked readout-model checks, the batched mitigation set-up, the
+rotating readout channel, the buffered simplex projection, the shot histogram
+and the chunked shot flips are checked bitwise against the per-qubit,
+per-matrix, per-entry and per-shot code they replace."""
 
 import math
 import re
@@ -15,7 +16,9 @@ from scipy.optimize import nnls
 from pitvqe.sampling import (
     Counts,
     ReadoutModel,
+    _apply_channel,
     _normal_factors,
+    _project_simplex,
     bhattacharyya,
     corrupt_counts,
     corrupt_distribution,
@@ -52,6 +55,28 @@ def test_readout_model_validation():
         ReadoutModel((np.array([[0.9, 0.1], [0.2, 0.9]]),))
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         ReadoutModel((np.array([[1.5, 0.0], [-0.5, 1.0]]),))
+
+
+def test_readout_model_needs_a_qubit():
+    for make in (lambda: ReadoutModel(()), lambda: identity_model(0), lambda: flip_model(0)):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            make()
+
+
+def test_readout_models_compare_and_hash_by_value():
+    assert flip_model(2) == flip_model(2)
+    assert hash(flip_model(2)) == hash(flip_model(2))
+    assert flip_model(2) != flip_model(3)
+    assert flip_model(2) != flip_model(2, p10=0.05)
+    assert flip_model(2) != identity_model(2)
+    assert (flip_model(1) == "flip") is False
+    # -0.0 passes the range check and equals 0.0, so it must hash alike
+    signed = ReadoutModel((np.array([[1.0, -0.0], [0.0, 1.0]]),))
+    assert signed == identity_model(1) and hash(signed) == hash(identity_model(1))
+    table = {flip_model(2): "flip", identity_model(2): "clean"}
+    assert len(table) == 2
+    assert table[flip_model(2)] == "flip"
+    assert table[ReadoutModel((np.eye(2), np.eye(2)))] == "clean"
 
 
 def test_flip_model_matrix_layout():
@@ -136,14 +161,17 @@ def test_mitigate_rejects_singular_model():
         mitigate(np.array([0.5, 0.5]), model)
 
 
-def _asymmetric_model(n, seed):
-    """A different asymmetric confusion matrix on every qubit, so that a
+def _asymmetric_matrices(n, seed):
+    """A different asymmetric confusion matrix for every qubit, so that a
     transposed kernel or a reversed qubit order changes every result."""
     rng = np.random.default_rng(seed)
     p10 = rng.uniform(0.01, 0.08, size=n)
     p01 = rng.uniform(0.1, 0.15, size=n)
-    return ReadoutModel(tuple(np.array([[1.0 - b, a], [b, 1.0 - a]])
-                              for a, b in zip(p10, p01)))
+    return tuple(np.array([[1.0 - b, a], [b, 1.0 - a]]) for a, b in zip(p10, p01))
+
+
+def _asymmetric_model(n, seed):
+    return ReadoutModel(_asymmetric_matrices(n, seed))
 
 
 def _corrupt_counts_loop(counts, model, seed):
@@ -335,7 +363,10 @@ def test_sample_survives_a_probability_rounded_above_one():
 
 
 def _checked_per_qubit(matrices):
-    """The per-qubit checks the stacked ones replaced."""
+    """The per-qubit checks the stacked ones replaced, after the check that
+    there is at least one qubit."""
+    if not matrices:
+        raise ValueError("a readout model needs at least one qubit")
     for k, m in enumerate(matrices):
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
@@ -366,7 +397,7 @@ _FLAWS = {
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.sampled_from(sorted(_FLAWS)), max_size=8), st.integers(0, 10**6))
 def test_stacked_readout_checks_raise_what_the_per_qubit_checks_raise(flaws, seed):
-    valid = _asymmetric_model(len(flaws), seed).matrices
+    valid = _asymmetric_matrices(len(flaws), seed)
     matrices = tuple(_FLAWS[f](np.array(m)) for f, m in zip(flaws, valid))
     try:
         _checked_per_qubit(matrices)
@@ -421,35 +452,94 @@ def test_batched_normal_factors_match_the_per_matrix_calls_bitwise(n, seed, iden
     assert [g.tobytes() for g in got_gram] == [g.tobytes() for g in gram]
 
 
+def _apply_channel_per_qubit(matrices, x):
+    """The readout channel as it ran before the rotating layout: qubit q is
+    axis 1 of the (-1, 2, 2^q) view, each factor one batched 2x2 product and
+    qubit 0's one einsum contraction."""
+    for q, m in enumerate(matrices):
+        x = x.reshape(-1, 2, 1 << q)
+        x = np.einsum("ob,kbl->kol", m, x) if q == 0 else np.matmul(m, x)
+    return x.reshape(-1)
+
+
+def _project_simplex_sorted(v, ranks):
+    """The simplex projection as it ran before it took buffers."""
+    u = np.sort(v)[::-1]
+    excess = np.cumsum(u) - 1.0
+    rank = np.flatnonzero(u * ranks > excess)[-1]
+    return np.maximum(v - excess[rank] / (rank + 1), 0.0)
+
+
 def _mitigate_per_matrix(noisy, model):
-    """mitigate as it ran with per-matrix set-up and two differences per step."""
+    """mitigate as it ran with per-matrix set-up, the per-qubit channel, a
+    fresh vector for every step and two differences per step."""
     lipschitz, mu, gram = _normal_factors_per_matrix(model)
     root_kappa = math.sqrt(lipschitz / mu)
     momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
-
-    def project(v):
-        u = np.sort(v)[::-1]
-        excess = np.cumsum(u) - 1.0
-        rank = np.flatnonzero(u * np.arange(1, v.size + 1) > excess)[-1]
-        return np.maximum(v - excess[rank] / (rank + 1), 0.0)
-
-    target = corrupt_distribution(noisy, _Factors([m.T for m in model.matrices])) / lipschitz
-    x = y = project(noisy)
+    ranks = np.arange(1.0, noisy.size + 1.0)
+    target = _apply_channel_per_qubit([m.T for m in model.matrices], noisy) / lipschitz
+    x = y = _project_simplex_sorted(noisy, ranks)
     while True:
-        x_next = project(y - corrupt_distribution(y, _Factors(gram)) + target)
+        x_next = _project_simplex_sorted(y - _apply_channel_per_qubit(gram, y) + target,
+                                         ranks)
         if float(np.abs(x_next - x).max()) <= 1e-14:
             return x_next
         y = x_next + momentum * (x_next - x)
         x = x_next
 
 
-class _Factors:
-    """2x2 factors in the place of a model, which would reject them as not
-    column-stochastic."""
+def _signed_entries(rng, shape):
+    """Normal entries, about a quarter of them zeros of either sign."""
+    values = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.25
+    values[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return values
 
-    def __init__(self, matrices):
-        self.matrices = tuple(matrices)
-        self.n = len(matrices)
+
+def _channel_factors(n, seed, form):
+    """Per-qubit 2x2 factors in the forms the channel is handed: a tuple of
+    matrices, an (n, 2, 2) stack, a model's transposed stack (mitigation's
+    target) and the Gram factors of the mitigation step."""
+    rng = np.random.default_rng(seed)
+    if form == "tuple":
+        return tuple(_signed_entries(rng, (2, 2)) for _ in range(n))
+    if form == "stack":
+        return _signed_entries(rng, (n, 2, 2))
+    model = _mixed_model(n, seed, rng.integers(0, n, size=rng.integers(0, 3)).tolist())
+    return model.stack.transpose(0, 2, 1) if form == "transposed" else _normal_factors(model)[2]
+
+
+_FORMS = ("tuple", "stack", "transposed", "gram")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10**6), st.sampled_from(_FORMS))
+def test_rotating_channel_matches_the_per_qubit_channel_bitwise(n, seed, form):
+    factors = _channel_factors(n, seed, form)
+    x = _signed_entries(np.random.default_rng(seed + 1), 1 << n)
+    want = _apply_channel_per_qubit(factors, x)
+    assert _apply_channel(factors, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("form", _FORMS)
+def test_rotating_channel_matches_the_per_qubit_channel_at_14_qubits(form):
+    factors = _channel_factors(14, 14, form)
+    x = _signed_entries(np.random.default_rng(15), 1 << 14)
+    want = _apply_channel_per_qubit(factors, x)
+    assert _apply_channel(factors, x).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 10**6))
+def test_buffered_projection_matches_the_sorting_projection_bitwise(bits, seed):
+    rng = np.random.default_rng(seed)
+    # repeated values and zeros of either sign make ties in the sort
+    v = rng.choice(_signed_entries(rng, 1 + (1 << bits) // 2), size=1 << bits) / 4
+    ranks = np.arange(1.0, v.size + 1.0)
+    out, work = np.empty(v.size), np.empty((2, v.size))
+    got = _project_simplex(v, ranks, out, work)
+    assert got is out
+    assert got.tobytes() == _project_simplex_sorted(v, ranks).tobytes()
 
 
 @settings(max_examples=25, deadline=None)
