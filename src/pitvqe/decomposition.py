@@ -110,14 +110,12 @@ class FragmentProblem:
     def local(self, block: int) -> int:
         return self.blocks.index(block)
 
-    def intra_diagonal(self, gamma: float) -> np.ndarray:
-        """Profit and intra-fragment penalty terms, cached per gamma and read-only."""
-        return self._terms(gamma)[0]
-
     def _terms(self, gamma: float):
-        """(intra_diagonal, pair bits), the parts of ``effective_diagonal`` no
-        mean field changes, both read-only: row k of the (pairs, 2^size) pair
-        bits is z_i for child_in pair k, then 1 - z_j for each child_out pair."""
+        """(intra diagonal, pair bits), the parts of ``effective_diagonal`` no
+        mean field changes, cached per gamma and read-only: the intra diagonal
+        holds the profit and intra-fragment penalty terms, and row k of the
+        (pairs, 2^size) pair bits is z_i for child_in pair k, then 1 - z_j for
+        each child_out pair."""
         terms = self._intra_cache.get(gamma)
         if terms is None:
             idx = np.arange(1 << self.size, dtype=np.int64)
@@ -337,15 +335,11 @@ def scf_run(
         )
         for fp in problems
     ]
-    histories: list[list[tuple[int, float]]] = [[] for _ in problems]
+    costs = [Objective(fp.circuit, None, config.init, []) for fp in problems]
     states = [
         prepare(fp.circuit, st.params, config.init)
         for fp, st in zip(problems, opt_states)
     ]
-    # per fragment the objective's kept point at its state: (params,
-    # amplitudes, forward pass row), carried so that the next sweep's refresh
-    # cost and gradient reuse it
-    points = [(st.params, state.amps, None) for st, state in zip(opt_states, states)]
     mean_z = np.empty(lattice.n)
     for fp, st in zip(problems, states):
         mean_z[fp.block_index] = fragment_mean_fields(fp, st)
@@ -356,9 +350,8 @@ def scf_run(
     sweep = 0
     while sweep < config.max_sweeps:
         sweep += 1
-        for a, (fp, opt) in enumerate(zip(problems, opt_states)):
-            cost = Objective(fp.circuit, effective_diagonal(fp, mean_z, gamma_f),
-                             config.init, histories[a], points[a])
+        for a, (fp, opt, cost) in enumerate(zip(problems, opt_states, costs)):
+            cost.diag = effective_diagonal(fp, mean_z, gamma_f)
             opt.iterate(cost, cost.gradient, refresh=multi)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params)
@@ -366,9 +359,8 @@ def scf_run(
             if (kicked != opt.params).any():
                 opt.params = kicked
                 opt.fx = None  # force re-evaluation next iteration
-            # the accepted trial's point, unless projection or kick moved it
-            points[a] = cost.point(opt.params)
-            states[a] = StateVector(fp.size, points[a][1])
+            # the accepted trial's amplitudes, unless projection or kick moved it
+            states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
             mean_z[fp.block_index] = fragment_mean_fields(fp, states[a])
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side
@@ -388,5 +380,5 @@ def scf_run(
         final_distribution=_product_distribution(problems, states, lattice.n),
         sweeps=sweep,
         converged=converged,
-        fragment_histories=histories,
+        fragment_histories=[cost.history for cost in costs],
     )

@@ -221,18 +221,26 @@ def _apply_channel(matrices, x: np.ndarray) -> np.ndarray:
     return x.reshape(-1)
 
 
-def _check_outcomes(dist: np.ndarray, model: ReadoutModel) -> None:
+def _check_distribution(dist: np.ndarray, model: ReadoutModel, name: str) -> float:
+    """The norm of ``dist``, after checking that it covers the model's
+    outcomes and that the norm is finite: no NaN or infinite entry, and none
+    so large that its square overflows."""
     if dist.size != 1 << model.n:
         raise ValueError(
             f"distribution over {dist.size} outcomes, model covers {1 << model.n}"
         )
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(dist))
+    if not math.isfinite(norm):
+        raise ValueError(f"{name} is not a distribution: its norm is {norm}")
+    return norm
 
 
 def corrupt_distribution(dist: np.ndarray, model: ReadoutModel) -> np.ndarray:
     """Exact action of the confusion channel on a distribution."""
     _check_model_size(model)
     dist = np.asarray(dist, dtype=float)
-    _check_outcomes(dist, model)
+    _check_distribution(dist, model, "dist")
     return _apply_channel(model.stack, dist)
 
 
@@ -321,14 +329,14 @@ def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
     """
     _check_model_size(model)
     noisy = np.asarray(noisy, dtype=float).reshape(-1)
-    _check_outcomes(noisy, model)
+    norm = _check_distribution(noisy, model, "noisy")
     lipschitz, mu, gram = _normal_factors(model)
     root_kappa = math.sqrt(lipschitz / mu)
     momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
     # F(x_0) - F* + mu/2 ||x_0 - x*||^2 <= c0 on the simplex; once
     # 2 c0 / mu (1 - 1/root_kappa)^k <= (tol / 2)^2 every later iterate lies
     # within tol / 2 of x*, so a step can no longer exceed tol
-    c0 = 0.5 * (math.sqrt(lipschitz) + float(np.linalg.norm(noisy))) ** 2 + mu
+    c0 = 0.5 * (math.sqrt(lipschitz) + norm) ** 2 + mu
     bound = math.ceil(root_kappa * math.log(8.0 * c0 / (mu * _MITIGATE_TOL ** 2))) + 1
     cap = min(bound, _MITIGATE_MAX_ITERATIONS)
     # the gradient step y - A^T (A y - p) / L, with A^T A / L a tensor product too

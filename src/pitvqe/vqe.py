@@ -88,26 +88,24 @@ class Objective:
     as floats, each row's taken by the same ddot as ``expect_diagonal``'s
     ``np.dot``; it books nothing.  ``record`` books one cost in ``history``,
     so a line search books only the trials it reaches; called directly the
-    objective does both for one row.  A kept point is (params, amplitudes,
-    forward), where ``forward`` is None or the (pass, row) of a
-    ``Program.forward`` pass that ran ``params``: ``point`` reuses ``state``,
-    one the caller already has, and the rows of the last block, built on
-    first lookup and then kept, so amplitudes and the gradient at a trial the
-    line search ran take no forward pass of their own.  The state is kept
-    apart from the block, so an objective without one keeps no row but the
-    last block's.
+    objective does both for one row.  A point is (params, amplitudes,
+    forward), where ``forward`` is the (pass, row) of the ``Program.forward``
+    pass that ran ``params``.  ``point`` keeps the last point it returned,
+    across blocks, and otherwise takes a row of the last block, so the cost,
+    amplitudes and gradient at one point, or at a trial the line search ran,
+    share one forward pass.  No pass depends on ``diag``, so a caller may
+    replace it between steps.
     """
 
     def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind,
-                 history: list[tuple[int, float]], state=None):
+                 history: list[tuple[int, float]]):
         self.circuit, self.diag, self.init, self.history = circuit, diag, init, history
         self.n = circuit.n
-        self._state = state
-        self._rows = self._forward = self._keys = None
-        self._points: dict[bytes, tuple] = {}
+        self._rows = np.empty((0, circuit.param_count))  # the last block run
+        self._forward = self._last = None
 
     def _run(self, rows: np.ndarray) -> np.ndarray:
-        self._rows, self._keys, self._points = rows, None, {}
+        self._rows = rows
         self._forward = self.circuit.program.forward(rows, self.init)
         return self._forward[3]
 
@@ -123,31 +121,22 @@ class Objective:
         amps = self.amplitudes(params)
         return self.record(params, float(np.dot(amps * amps, self.diag)))
 
-    def _block_row(self, key: bytes) -> int:
-        """The first row of the last block whose bits are ``key``, or -1."""
-        if self._rows is None:
-            return -1
-        if self._keys is None:
-            self._keys = self._rows.tobytes()
-        at = self._keys.find(key)
-        while at > 0 and at % len(key):  # a match straddling two rows
-            at = self._keys.find(key, at + 1)
-        return at // len(key)
-
     def point(self, params: np.ndarray) -> tuple:
-        """The point at ``params``: a kept one when its bits match, else run."""
+        """The point at ``params``: the last one or a row of the last block
+        when its bits match, else a run of its own."""
         key = params.tobytes()
-        if self._state is not None and self._state[0].tobytes() == key:
-            return self._state
-        point = self._points.get(key)
-        if point is None:
-            row = self._block_row(key)
-            if row < 0:
-                self._run(params[None])
-                row = 0
-            point = (self._rows[row], self._forward[3][row], (self._forward, row))
-            self._points[key] = point
-        return point
+        if self._last is not None and self._last[0].tobytes() == key:
+            return self._last
+        keys = self._rows.tobytes()
+        at = keys.find(key)
+        while at > 0 and at % len(key):  # a match straddling two rows
+            at = keys.find(key, at + 1)
+        if at < 0:
+            self._run(params[None])
+            at = 0
+        row = at // len(key)
+        self._last = (self._rows[row], self._forward[3][row], (self._forward, row))
+        return self._last
 
     def amplitudes(self, params: np.ndarray) -> np.ndarray:
         return self.point(params)[1]

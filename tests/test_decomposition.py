@@ -24,7 +24,7 @@ from pitvqe.decomposition import (
 from pitvqe.hamiltonian import DiagonalCost, index_to_bits
 from pitvqe.lattice import load_instance, parse_instance
 from pitvqe.oracle import enumerate_lattice, p_opt
-from pitvqe.simulator import InitKind, StateVector, init_state
+from pitvqe.simulator import InitKind, Program, StateVector, init_state
 from pitvqe.vqe import Optimizer
 
 MINI4 = parse_instance("rows 2\n0:-1 1:2 2:-1\n1:5\n")
@@ -213,12 +213,38 @@ def test_energy_trace_is_total_energy_of_final_states(cut):
     )
 
 
-def test_intra_diagonal_is_cached_and_read_only():
-    fp = build_fragment_problems(STEP9, partition_horizontal(STEP9))[0]
-    diag = fp.intra_diagonal(8 / 3)
-    assert fp.intra_diagonal(8 / 3) is diag
+def test_uncut_effective_diagonal_is_cached_and_read_only():
+    # a single fragment severs no pair, so its effective diagonal is the
+    # cached intra-fragment terms themselves
+    (fp,) = build_fragment_problems(STEP9, Partition((tuple(range(STEP9.n)),)))
+    assert not fp.child_in_pairs and not fp.child_out_pairs
+    mean_z = np.zeros(STEP9.n)
+    diag = effective_diagonal(fp, mean_z, 8 / 3)
+    assert effective_diagonal(fp, mean_z + 0.5, 8 / 3) is diag
+    assert effective_diagonal(fp, mean_z, 7 / 3) is not diag
     with pytest.raises(ValueError, match="read-only"):
         diag[0] = 0.0
+
+
+@pytest.mark.parametrize("cut, calls, rows", [("rows", 39, 1009), ("columns", 65, 2735)])
+def test_scf_forward_passes_are_pinned(monkeypatch, cut, calls, rows):
+    # each fragment's refresh cost and gradient reuse the forward pass of the
+    # point its previous step ended at
+    if cut == "rows":
+        part = partition_horizontal(STEP9)
+    else:
+        part = partition_custom(STEP9, {b.id: b.col for b in STEP9.blocks})
+    counts = [0, 0]
+    forward = Program.forward
+
+    def counted(self, block, init):
+        counts[0] += 1
+        counts[1] += len(block)
+        return forward(self, block, init)
+
+    monkeypatch.setattr(Program, "forward", counted)
+    scf_run(STEP9, part, Fraction(8, 3), ScfConfig(seed=2, max_sweeps=10))
+    assert counts == [calls, rows]
 
 
 def test_scf_checks_qubit_cap_before_sweeping():

@@ -243,6 +243,17 @@ def test_mitigate_raises_at_the_iteration_cap():
         mitigate(corrupt_distribution(np.array([0.4, 0.6]), model), model)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_readout_channel_rejects_a_distribution_of_non_finite_norm(value):
+    model = flip_model(2)
+    dist = np.full(4, 0.25)
+    dist[1] = value  # 1e300 is finite, but its square overflows the norm
+    with pytest.raises(ValueError, match="dist is not a distribution"):
+        corrupt_distribution(dist, model)
+    with pytest.raises(ValueError, match="noisy is not a distribution"):
+        mitigate(dist, model)
+
+
 def test_readout_channel_checks_qubit_cap_first():
     model = flip_model(QUBIT_CAP + 1)
     with pytest.raises(ResourceWarning):

@@ -218,27 +218,31 @@ def test_pending_gradient_is_taken_at_the_accepted_point(mini4_problem):
     np.testing.assert_array_equal(state.grad, problem.grad(accepted))
 
 
-def test_objective_keeps_the_state_apart_from_the_last_block(mini4_problem):
+def test_objective_with_a_replaced_diagonal_matches_a_fresh_one(mini4_problem):
     circuit, h, _ = mini4_problem
     init, diag = InitKind.SUPERPOSITION, h.dense_diagonal()
     start = np.full(circuit.param_count, 0.3)
-    state_amps = prepare(circuit, start, init).amps
-    f = Objective(circuit, diag, init, [], (start, state_amps, None))
     rows = np.array([start + 0.1, start + 0.2])
-    costs = list(f.values(rows))
-    assert f.history == []  # a block's costs are booked only by record
+    f = Objective(circuit, -diag, init, [])
+    old_cost = f(start)
+    f.gradient(start)
+    f.values(rows)  # passes run under the old diagonal
+    f.diag = diag
+    fresh = Objective(circuit, diag, init, [])
+    costs = f.values(rows)
+    assert f.history == [(0, old_cost)]  # a block's costs are booked only by record
+    assert costs == fresh.values(rows)
     assert costs == [evaluate(circuit, row, h, init) for row in rows]
-    assert f.amplitudes(start.copy()) is state_amps
-    kept = f.amplitudes(rows[1].copy())
-    assert kept.tobytes() == prepare(circuit, rows[1], init).amps.tobytes()
-    assert f.amplitudes(rows[1].copy()) is kept
-    f.amplitudes(start + 0.5)  # a new row replaces the block, not the state
-    assert f.amplitudes(rows[1].copy()) is not kept
-    assert f.amplitudes(start.copy()) is state_amps
-    assert f(rows[0]) == costs[0] and f.history == [(0, costs[0])]
-    np.testing.assert_array_equal(f.gradient(start),
-                                  gradient_adjoint(circuit, start, diag, init))
-    f.values(rows)  # a kept block row's gradient reuses the row's forward pass
+    assert f(start.copy()) == fresh(start.copy())
+    assert f.gradient(start).tobytes() == fresh.gradient(start).tobytes()
+    kept = f.point(start.copy())
+    f.values(rows)  # a block leaves the last point in place
+    assert f.point(start.copy()) is kept
+    # a block row's point reuses the row's forward pass, and so does its gradient
     assert f.point(rows[1].copy())[2][1] == 1
+    assert f.gradient(rows[1]).tobytes() == fresh.gradient(rows[1]).tobytes()
     assert f.gradient(rows[1]).tobytes() == gradient_adjoint(
         circuit, rows[1], diag, init).tobytes()
+    row_amps = f.amplitudes(rows[1].copy())
+    f.amplitudes(start + 0.5)  # a new row replaces the block and the last point
+    assert f.amplitudes(rows[1].copy()) is not row_amps
