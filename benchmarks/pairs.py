@@ -12,7 +12,10 @@ Each side is the committed tree of its revision, ``--parent`` or
 a pair alternates between parent and change, the parent first in pair 0.
 
 The workload's runs and their summary go into ``--out`` under the
-workload's name, beside the workloads already there for the same parent.
+workload's name, beside the workloads already there for the same revisions.
+The file names the parent's and the change's commits, and whether the
+repository's tracked files differed from the change's commit when the runs
+started (``change_dirty``), edits that no run measured.
 For each end-to-end metric of BENCHMARK.json the summary gives each side's
 quartiles, the change's median relative to the parent's, how much worse
 that is in the metric's bad direction, the metric's bound, the spread of
@@ -40,9 +43,12 @@ SIDES = ("parent", "change")
 DESCRIPTION = (
     "Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
     "--seed S --seconds T --trace 0`; the first run of a pair alternates between "
-    "parent and change. Every run's end-to-end readings are listed with its op "
-    "count; the summary gives each side's median and quartiles, the change's "
-    "relative median difference, and the pairs the change won.")
+    "parent and change. `parent` and `change` are the commits measured, and "
+    "`change_dirty` says whether the working tree's tracked files differed from "
+    "the change's commit, edits that no run measured. Every run's end-to-end "
+    "readings are listed with its op count; the summary gives each side's median "
+    "and quartiles, the change's relative median difference, and the pairs the "
+    "change won.")
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -56,6 +62,14 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def differs_from(sha: str) -> bool:
+    """Whether the repository's tracked files differ from commit ``sha``."""
+    code = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", sha, "--"]).returncode
+    if code not in (0, 1):
+        raise subprocess.CalledProcessError(code, "git diff --quiet")
+    return code == 1
 
 
 def first_side(pair: int) -> str:
@@ -111,13 +125,15 @@ def host() -> str:
             f"numpy {np.__version__}")
 
 
-def record(out: Path, parent: str, workload: str, entry: dict) -> dict:
+def record(out: Path, revisions: dict, workload: str, entry: dict) -> dict:
     """``out``'s contents with ``entry`` added under ``workload``; raises
-    ValueError if ``out`` measures another parent or has the workload."""
+    ValueError if ``out`` measures other ``revisions`` (its ``parent``,
+    ``change`` and ``change_dirty``) or has the workload."""
     data = (json.loads(out.read_text()) if out.exists() else
-            {"description": DESCRIPTION, "parent": parent, "host": host(), "workloads": {}})
-    if data["parent"] != parent:
-        raise ValueError(f"{out} measures parent {data['parent']}, not {parent}")
+            {"description": DESCRIPTION, **revisions, "host": host(), "workloads": {}})
+    for key, value in revisions.items():
+        if data.get(key) != value:
+            raise ValueError(f"{out} measures {key} {data.get(key)}, not {value}")
     if workload in data["workloads"]:
         raise ValueError(f"{out} already holds {workload}; write to another file")
     data["workloads"][workload] = entry
@@ -139,8 +155,9 @@ def main(argv=None) -> int:
     seconds = float(spec["run_seconds"])
     checkouts = {side: args.work / side for side in SIDES}
     parent = extract(args.parent, checkouts["parent"])
-    record(args.out, parent, args.workload, {})  # refuse before running
-    extract(args.change, checkouts["change"])
+    change = extract(args.change, checkouts["change"])
+    revisions = {"parent": parent, "change": change, "change_dirty": differs_from(change)}
+    record(args.out, revisions, args.workload, {})  # refuse before running
     pairs = []
     for index in range(args.pairs):
         first = first_side(index)
@@ -153,8 +170,8 @@ def main(argv=None) -> int:
         pairs.append({"pair": index, "first": first, **{s: readings[s] for s in SIDES}})
     summary = summarize(pairs, spec["end_to_end"])
     entry = {"seed": args.seed, "seconds": seconds, "pairs": pairs, "summary": summary}
-    args.out.write_text(json.dumps(record(args.out, parent, args.workload, entry), indent=1)
-                        + "\n")
+    args.out.write_text(json.dumps(record(args.out, revisions, args.workload, entry),
+                                   indent=1) + "\n")
     for name, row in summary.items():
         verdict = ("gain" if gain_shown(row) else
                    "worse than bound" if row["worse_by_rel"] > row["bound"] else "within bound")

@@ -9,6 +9,7 @@ updates the mean fields, repeated to self-consistency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -297,19 +298,15 @@ def sum_constraint_project(circuit: ParamCircuit, params: np.ndarray) -> np.ndar
 
 def _product_distribution(problems, states, n):
     """Each global basis index's product of fragment probabilities, taken in
-    fragment order.  Index hi << low | lo maps to a fragment's local index
-    as the OR of what its blocks among the low bits give for lo and what
-    those among the high bits give for hi, so two tables of about 2^(n/2)
-    entries build the 2^n local indices."""
-    low = n // 2
-    halves = np.arange(1 << low), np.arange(1 << (n - low))
-    dist = np.ones(1 << n)
-    for fp, st in zip(problems, states):
-        tables = [np.zeros(half.size, dtype=np.int64) for half in halves]
-        for k, b in enumerate(fp.blocks):
-            half = int(b >= low)
-            tables[half] |= ((halves[half] >> (b - low * half)) & 1) << k
-        dist *= probabilities(st)[(tables[1][:, None] | tables[0]).reshape(-1)]
+    fragment order.  Outer products lay one axis per block, a fragment's
+    highest local bit first, and the last one writes through a view of the
+    result whose axes are the global bits in that order."""
+    factors = [probabilities(st).reshape((2,) * len(fp.blocks))
+               for fp, st in zip(problems, states)]
+    dist = np.empty(1 << n)
+    axes = [n - 1 - b for fp in problems for b in reversed(fp.blocks)]
+    prod = functools.reduce(np.multiply.outer, factors[:-1], np.ones(()))
+    np.multiply.outer(prod, factors[-1], out=dist.reshape((2,) * n).transpose(axes))
     return dist
 
 

@@ -36,6 +36,9 @@ _MITIGATE_TOL = 1e-14
 # Iterations mitigation may take whatever the condition number promises; a
 # nearly singular channel would otherwise run for days.
 _MITIGATE_MAX_ITERATIONS = 10_000
+# The simplex projection needs u - 1 < u for the largest entry u it sorts,
+# which fails from 2^53; a step's input lies within 3 of A^T noisy / L.
+_PROJECTION_LIMIT = 2.0 ** 52
 
 
 @dataclass(frozen=True)
@@ -331,6 +334,13 @@ def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
     noisy = np.asarray(noisy, dtype=float).reshape(-1)
     norm = _check_distribution(noisy, model, "noisy")
     lipschitz, mu, gram = _normal_factors(model)
+    # the gradient step y - A^T (A y - p) / L, with A^T A / L a tensor product too
+    target = _apply_channel(model.stack.transpose(0, 2, 1), noisy) / lipschitz
+    peak = float(np.abs(target).max())
+    if peak >= _PROJECTION_LIMIT:
+        raise ValueError(
+            f"noisy is not a distribution: A^T noisy / L has an entry of magnitude "
+            f"{peak:.6g}, 2^52 or more, beyond what the simplex projection resolves")
     root_kappa = math.sqrt(lipschitz / mu)
     momentum = (root_kappa - 1.0) / (root_kappa + 1.0)
     # F(x_0) - F* + mu/2 ||x_0 - x*||^2 <= c0 on the simplex; once
@@ -339,8 +349,6 @@ def mitigate(noisy: np.ndarray, model: ReadoutModel) -> np.ndarray:
     c0 = 0.5 * (math.sqrt(lipschitz) + norm) ** 2 + mu
     bound = math.ceil(root_kappa * math.log(8.0 * c0 / (mu * _MITIGATE_TOL ** 2))) + 1
     cap = min(bound, _MITIGATE_MAX_ITERATIONS)
-    # the gradient step y - A^T (A y - p) / L, with A^T A / L a tensor product too
-    target = _apply_channel(model.stack.transpose(0, 2, 1), noisy) / lipschitz
     ranks = np.arange(1.0, noisy.size + 1.0)
     # x and x_next trade buffers each step, and y is built in the step's buffer
     x, x_next, moved = (np.empty(noisy.size) for _ in range(3))

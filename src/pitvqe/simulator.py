@@ -7,8 +7,9 @@ real throughout; basis index bit i is z_i with qubit 0 least significant.
 circuit runs as a ``Program``: its leading Ry layer is built directly as a
 product state, and the remaining gates act through index pairs computed once
 per program.  A program runs a block of parameter rows at once, each row
-bitwise as it runs alone, and gives the exact gradient by a reverse sweep,
-which can start from a row of a forward pass already run.
+bitwise as it runs alone, and gives the exact gradient by a reverse sweep
+that reads the state from the gate outputs a forward pass kept, which can
+be a row of a pass already run.
 """
 
 from __future__ import annotations
@@ -205,12 +206,16 @@ class Program:
     def forward(self, rows: np.ndarray, init: InitKind):
         """Run the circuit on a (B, P) block of parameter rows.
 
-        Returns (v, prefixes, rotations, amplitudes): ``v[:, :, q]`` is qubit
-        q's state after its leading Ry, ``prefixes[q]`` the (B, 1, 2^q)
-        product state of qubits below q, ``rotations[k]`` tail gate k's
-        (B, 2, 2) matrices (none without a tail), and the amplitudes are
-        (B, 2^n).  Each row goes through the ops, shapes and strides of a
-        block of one, so every row is bitwise what running it alone gives.
+        Returns (v, prefixes, rotations, outputs, amplitudes): ``v[:, :, q]``
+        is qubit q's state after its leading Ry, ``prefixes[q]`` the
+        (B, 1, 2^q) product state of qubits below q, ``rotations[k]`` tail
+        gate k's (B, 2, 2) matrices and ``outputs[k]`` its (B, 2, m) output,
+        the amplitudes on its pairs just after it (none without a tail), and
+        the amplitudes are (B, 2^n).  The outputs are the products the pass
+        computes anyway, kept for the gradient: B 2^(n-1) doubles for each
+        controlled rotation and B 2^n for each uncontrolled one.  Each row
+        goes through the ops, shapes and strides of a block of one, so every
+        row is bitwise what running it alone gives.
         """
         b = len(rows)
         half = np.zeros((b, rows.shape[1] + 1, 1))
@@ -225,18 +230,21 @@ class Program:
             prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
         amps = prefixes.pop().reshape(b, -1)
         if not block_pairs:
-            return v, prefixes, (), amps
+            return v, prefixes, (), (), amps
         flat = amps.reshape(-1)
         # stored (B, 2, 2, K), so a gate's 2x2 has the strides of a single row's
         rotations = trig.take(self._tail_trig, axis=1) * _ROTATION_SIGN
         rotations = rotations.transpose(3, 0, 1, 2)
+        outputs = []
         for rot, pairs in zip(rotations, block_pairs):
-            flat[pairs] = rot @ flat.take(pairs)
-        return v, prefixes, rotations, amps
+            out = rot @ flat.take(pairs)
+            flat[pairs] = out
+            outputs.append(out)
+        return v, prefixes, rotations, outputs, amps
 
     def run(self, rows: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit on a (B, P) block of parameter rows: (B, 2^n) amplitudes."""
-        return self.forward(rows, init)[3]
+        return self.forward(rows, init)[4]
 
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit applied to the initial product state."""
@@ -248,29 +256,28 @@ class Program:
 
         With lam = diag psi, a gate's derivative is dRy(t) = Ry(t + pi) / 2,
         so its term is lam . Ry(pi) psi taken just after the gate (control
-        bit 1 only for a controlled rotation); undoing the gate on psi and
-        lam moves the sweep one gate back.  The leading layer's terms come
-        from contracting lam with the product state from the top qubit down.
+        bit 1 only for a controlled rotation).  The forward pass kept psi
+        just after each gate on the gate's pairs, so the sweep carries lam
+        alone, undoing one gate on it per step.  The leading layer's terms
+        come from contracting lam with the product state from the top qubit
+        down.
 
         ``forward`` is a (pass, row) pair: row ``row`` of a ``forward`` pass
-        whose rows included ``params``.  A row has the strides of a block of
-        one, so the gradient is bitwise the one a pass of its own gives;
-        without ``forward`` the pass is run here.
+        whose rows included ``params``; the pass is only read.  A row has
+        the strides of a block of one, so the gradient is bitwise the one a
+        pass of its own gives; without ``forward`` the pass is run here.
         """
         if forward is None:
             forward = self.forward(params[None], init), 0
-        (v, prefixes, rotations, phi), row = forward
-        # phi is swept back in place, and a kept pass's amplitudes are shared
-        v, phi = v[row], phi[row].copy()
-        lam = diag * phi
+        (v, prefixes, rotations, outputs, psi), row = forward
+        v = v[row]
+        lam = diag * psi[row]
         grad = [0.0] * params.size
         for k in range(len(self.tail_pairs) - 1, -1, -1):
             pairs = self.tail_pairs[k]
-            a, l = phi.take(pairs), lam.take(pairs)
+            a, l = outputs[k][row], lam.take(pairs)
             grad[self._tail_ids[k]] += l[1] @ a[0] - l[0] @ a[1]
-            back = rotations[k, row].T
-            phi[pairs] = back @ a
-            lam[pairs] = back @ l
+            lam[pairs] = rotations[k, row].T @ l
         rest = lam  # lam contracted with the layer states of qubits above q
         v0, v1 = v.tolist()
         for q in range(self.n - 1, -1, -1):

@@ -107,7 +107,7 @@ class Objective:
     def _run(self, rows: np.ndarray) -> np.ndarray:
         self._rows = rows
         self._forward = self.circuit.program.forward(rows, self.init)
-        return self._forward[3]
+        return self._forward[4]
 
     def values(self, rows: np.ndarray) -> list[float]:
         return _row_costs(self._run(rows), self.diag)
@@ -135,7 +135,7 @@ class Objective:
             self._run(params[None])
             at = 0
         row = at // len(key)
-        self._last = (self._rows[row], self._forward[3][row], (self._forward, row))
+        self._last = (self._rows[row], self._forward[4][row], (self._forward, row))
         return self._last
 
     def amplitudes(self, params: np.ndarray) -> np.ndarray:

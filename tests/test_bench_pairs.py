@@ -1,9 +1,10 @@
 """The summary of benchmarks/pairs.py: quartiles, wins and the parent's
 spread, checked against the hand-computed summaries of BENCH_11.json and on
-small cases whose answers are known."""
+small cases whose answers are known; and the revisions a BENCH json names."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,11 +73,38 @@ def test_run_side_reads_the_closing_json_line(tmp_path):
 
 def test_record_keeps_other_workloads_and_refuses_clashes(tmp_path):
     out = tmp_path / "BENCH.json"
-    out.write_text(json.dumps(pairs.record(out, "abc", "vqe_qnb", {"seed": 1})))
-    data = pairs.record(out, "abc", "shots_mitigate", {"seed": 2})
+    revisions = {"parent": "abc", "change": "bcd", "change_dirty": False}
+    out.write_text(json.dumps(pairs.record(out, revisions, "vqe_qnb", {"seed": 1})))
+    data = pairs.record(out, revisions, "shots_mitigate", {"seed": 2})
     assert data["workloads"] == {"vqe_qnb": {"seed": 1}, "shots_mitigate": {"seed": 2}}
+    assert (data["parent"], data["change"], data["change_dirty"]) == ("abc", "bcd", False)
     assert data["description"] == pairs.DESCRIPTION
     with pytest.raises(ValueError, match="already holds vqe_qnb"):
-        pairs.record(out, "abc", "vqe_qnb", {})
+        pairs.record(out, revisions, "vqe_qnb", {})
     with pytest.raises(ValueError, match="measures parent abc, not def"):
-        pairs.record(out, "def", "scf_fragments", {})
+        pairs.record(out, {**revisions, "parent": "def"}, "scf_fragments", {})
+    with pytest.raises(ValueError, match="measures change bcd, not cde"):
+        pairs.record(out, {**revisions, "change": "cde"}, "scf_fragments", {})
+    with pytest.raises(ValueError, match="measures change_dirty False, not True"):
+        pairs.record(out, {**revisions, "change_dirty": True}, "scf_fragments", {})
+
+
+def test_differs_from_compares_tracked_files_with_the_commit(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    first = git("rev-parse", "HEAD")
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    (tmp_path / "untracked.txt").write_text("not measured, not compared\n")
+    assert not pairs.differs_from(first)
+    (tmp_path / "a.txt").write_text("two\n")
+    assert pairs.differs_from(first)
+    git("commit", "-q", "-am", "two")
+    assert not pairs.differs_from(git("rev-parse", "HEAD"))
+    assert pairs.differs_from(first)  # the files are a later commit's

@@ -207,7 +207,7 @@ GOLDEN = {
         "stdout": "78ba6d3b1af614991e5bfdbde29d4f4bdfaa58073b1f6fae930edac6a4a17588",
     }),
     "decompose-step9-columns": ([*DECOMPOSE_STEP9, "--partition", "columns.txt"], {
-        "distribution.csv": "2b964dbc0106582273576d7278a4335018d3faca5c1575432e7c93d929258b19",
+        "distribution.csv": "7b7b81a9c8ea26df211043614bb02e0f7602f80445f563cd857e9ddf131df493",
         "fragments.csv": "94af5768dd36fdcd0f9edd264b2a23c0bf82c364abf73c6eaed9a60a7476ebf6",
         "run.meta": "08bbc0be4cdcf97040fa8ea98d61dca6c9a819c8990d5897d3f55b6a7eaec7e5",
         "stdout": "2ca1c42fb15f311d551f10b65e0378933b43949f740b0d80ba3d6db471c8d43b",
@@ -221,7 +221,7 @@ GOLDEN = {
     "decompose-step9-qnb-columns": (
         [*DECOMPOSE_STEP9, "--optimizer", "qnb", "--partition", "columns.txt"], {
             "distribution.csv":
-                "7295227040c4b383ea0c9330d5f36c1add9e03013481530e966bfa161ab5e6ea",
+                "7303040861d78eb7235e19b9db9b8768a468c59c71515bfde2a371d541033498",
             "fragments.csv": "3a7487a5c787b8574c0b642dca41ce3798bcdfd43c5af9b7899cda570b4e9e71",
             "run.meta": "03141a0ef9289cb6b233f6bd479b24577b89f38266c8a2cf8f81498bc4cc532c",
             "stdout": "9357d384396f279f0f114687505467702ad787cf164e3eef5fa28cf110204554",

@@ -1,13 +1,13 @@
 """Property tests: the compiled engine and its adjoint gradient against the
-gate-by-gate kernels and central differences, the evaluation budget, blocks
-of rows against single runs, block costs against a dot per row, gradients
-from a kept forward pass against fresh ones and on Python floats against
-numpy scalars, block line searches against plain callables, the cost tables
-against per-bitstring sums, the marginals and the product distribution
-against index-mask loops and per-qubit copies, the distribution CSV
-against Python's per-row format, the compiled gates' index pairs against
-per-gate masks, and the sum-constraint projection against a loop over
-rotation groups."""
+gate-by-gate kernels, central differences and a long-double adjoint, the
+evaluation budget, blocks of rows against single runs, block costs against a
+dot per row, gradients from a kept forward pass against fresh ones and on
+Python floats against numpy scalars, block line searches against plain
+callables, the cost tables against per-bitstring sums, the marginals and the
+product distribution against index-mask loops, per-qubit copies and
+half-index tables, the distribution CSV against Python's per-row format, the
+compiled gates' index pairs against per-gate masks, and the sum-constraint
+projection against a loop over rotation groups."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -152,10 +152,10 @@ def test_effective_diagonal_adds_pair_terms_in_order(data, lattice, gamma,
 
 
 @st.composite
-def hand_circuits(draw):
+def hand_circuits(draw, max_qubits=MAX_BLOCKS):
     """Random Ry/CRy sequences that start with a CRy, so two qubits have no
     leading Ry, and end with a Ry on the target of a CRy."""
-    n = draw(st.integers(2, MAX_BLOCKS))
+    n = draw(st.integers(2, max_qubits))
     qubit = st.integers(0, n - 1)
     pairs = st.tuples(qubit, qubit).filter(lambda p: p[0] != p[1])
     first = draw(pairs)
@@ -276,11 +276,13 @@ def test_gradient_from_a_kept_row_equals_a_fresh_gradient_bitwise(data, circuit,
     diag = data.draw(arrays(np.float64, 1 << circuit.n, elements=st.floats(-5, 5)))
     program = circuit.program
     forward = program.forward(block, init)
-    amps = forward[3].copy()
+    outputs, amps = [out.copy() for out in forward[3]], forward[4].copy()
     for row, params in enumerate(block):
         got = program.gradient(params, diag, init, (forward, row))
         assert got.tobytes() == program.gradient(params, diag, init).tobytes()
-    assert forward[3].tobytes() == amps.tobytes()  # the kept pass is not swept
+    # the kept pass is only read
+    assert [out.tobytes() for out in forward[3]] == [out.tobytes() for out in outputs]
+    assert forward[4].tobytes() == amps.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -368,17 +370,15 @@ def test_block_line_search_stops_mid_block_at_the_plain_trial(stop, budget, want
 def _gradient_on_numpy_scalars(program, params, diag, init):
     """``Program.gradient`` with the gradient accumulated in an array and the
     layer terms taken on numpy scalars."""
-    (v, prefixes, rotations, phi), row = program.forward(params[None], init), 0
-    v, phi = v[row], phi[row].copy()
-    lam = diag * phi
+    (v, prefixes, rotations, outputs, psi), row = program.forward(params[None], init), 0
+    v = v[row]
+    lam = diag * psi[row]
     grad = np.zeros(params.size)
     for k in range(len(program.tail_pairs) - 1, -1, -1):
         pairs = program.tail_pairs[k]
-        a, l = phi.take(pairs), lam.take(pairs)
+        a, l = outputs[k][row], lam.take(pairs)
         grad[program.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
-        back = rotations[k, row].T
-        phi[pairs] = back @ a
-        lam[pairs] = back @ l
+        lam[pairs] = rotations[k, row].T @ l
     rest = lam
     for q in range(program.n - 1, -1, -1):
         rest = rest.reshape(2, -1)
@@ -397,6 +397,57 @@ def test_gradient_on_python_floats_matches_numpy_scalars_bitwise(data, circuit, 
     got = circuit.program.gradient(params, diag, init)
     want = _gradient_on_numpy_scalars(circuit.program, params, diag, init)
     assert got.tobytes() == want.tobytes()
+
+
+def _act(vec, gate, m, control_zero=1.0):
+    """The 2x2 ``m`` applied to ``vec`` on the gate's target, where its
+    control (if any) is 1; the amplitudes it leaves alone are multiplied by
+    ``control_zero``."""
+    index = np.arange(vec.size)
+    target = gate.qubit if isinstance(gate, SingleRy) else gate.target
+    lo = index[(index >> target) & 1 == 0]
+    if isinstance(gate, ControlledRy):
+        lo = lo[(lo >> gate.control) & 1 == 1]
+    hi = lo | (1 << target)
+    out = vec * control_zero
+    out[lo] = m[0, 0] * vec[lo] + m[0, 1] * vec[hi]
+    out[hi] = m[1, 0] * vec[lo] + m[1, 1] * vec[hi]
+    return out
+
+
+def _gradient_on_long_doubles(circuit, params, diag, init):
+    """The adjoint gradient gate by gate in ``np.longdouble``: every state
+    after each gate kept, lam swept back, dRy(t) = (-s, -c; c, -s) / 2."""
+    u = {InitKind.ALL_ZERO: (1, 0), InitKind.ALL_ONE: (0, 1),
+         InitKind.SUPERPOSITION: (np.sqrt(np.longdouble(0.5)),) * 2}[init]
+    psi = np.ones(1, dtype=np.longdouble)
+    for _ in range(circuit.n):
+        psi = np.concatenate((psi * u[0], psi * u[1]))
+    half = np.asarray(params, dtype=np.longdouble) / 2
+    c, s = np.cos(half), np.sin(half)
+    states = [psi]
+    for g in circuit.gates:
+        k = g.param_id
+        states.append(_act(states[-1], g, np.array(((c[k], -s[k]), (s[k], c[k])))))
+    lam = np.asarray(diag, dtype=np.longdouble) * states[-1]
+    grad = np.zeros(len(params), dtype=np.longdouble)
+    for g, before in zip(reversed(circuit.gates), reversed(states[:-1])):
+        k = g.param_id
+        d = np.array(((-s[k], -c[k]), (c[k], -s[k]))) / 2
+        grad[k] += 2 * np.dot(lam, _act(before, g, d, control_zero=0))
+        lam = _act(lam, g, np.array(((c[k], s[k]), (-s[k], c[k]))))
+    return grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.one_of(hand_circuits(max_qubits=9), lattices().map(build_circuit)),
+       inits)
+def test_gradient_matches_a_long_double_adjoint(data, circuit, init):
+    params = data.draw(angles(circuit.param_count))
+    diag = data.draw(arrays(np.float64, 1 << circuit.n, elements=st.floats(-5, 5)))
+    got = circuit.program.gradient(params, diag, init)
+    want = _gradient_on_long_doubles(circuit, params, diag, init)
+    np.testing.assert_allclose(got, want.astype(float), rtol=0, atol=1e-12)
 
 
 def _descend(f, grad, params, bounds, quasi_newton, iterates=40):
@@ -512,6 +563,38 @@ def test_product_distribution_matches_the_per_block_shift_loop(data, n, seed):
         states.append(StateVector(len(fp.blocks), amps / np.linalg.norm(amps)))
     got = _product_distribution(problems, states, n)
     assert got.tobytes() == _product_by_shifts(problems, states, n).tobytes()
+
+
+def _product_by_half_tables(problems, states, n):
+    """The product distribution gathered through two half-index tables: index
+    hi << low | lo maps to a fragment's local index as the OR of what its
+    blocks among the low bits give for lo and what those among the high bits
+    give for hi."""
+    low = n // 2
+    halves = np.arange(1 << low), np.arange(1 << (n - low))
+    dist = np.ones(1 << n)
+    for fp, state in zip(problems, states):
+        tables = [np.zeros(half.size, dtype=np.int64) for half in halves]
+        for k, b in enumerate(fp.blocks):
+            half = int(b >= low)
+            tables[half] |= ((halves[half] >> (b - low * half)) & 1) << k
+        dist *= probabilities(state)[(tables[1][:, None] | tables[0]).reshape(-1)]
+    return dist
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_product_distribution_matches_the_half_index_tables_bitwise(data, n, seed):
+    # any partition, fragments in any order, each listing its blocks in any order
+    order = data.draw(st.permutations(range(n)))
+    cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    problems = [SimpleNamespace(blocks=tuple(order[a:b])) for a, b in zip(bounds, bounds[1:])]
+    rng = np.random.default_rng(seed)
+    states = [StateVector(len(fp.blocks), rng.normal(size=1 << len(fp.blocks)))
+              for fp in problems]
+    got = _product_distribution(problems, states, n)
+    assert got.tobytes() == _product_by_half_tables(problems, states, n).tobytes()
 
 
 def _csv_by_rows(dist, n):

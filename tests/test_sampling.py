@@ -254,6 +254,18 @@ def test_readout_channel_rejects_a_distribution_of_non_finite_norm(value):
         mitigate(dist, model)
 
 
+@pytest.mark.parametrize("value", [1e16, 1e20, 1e100, 1e200, -1e100])
+def test_mitigate_rejects_entries_the_simplex_projection_cannot_resolve(value):
+    # from 2^53 the projection found no support (IndexError), and from about
+    # 1e140 the iteration cap overflowed first (OverflowError)
+    dist = np.full(4, 0.25)
+    dist[1] = value
+    with pytest.raises(ValueError, match="noisy is not a distribution"):
+        mitigate(dist, flip_model(2))
+    dist[1] = 1e15  # not a distribution either, but still projected
+    assert mitigate(dist, flip_model(2)).tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
 def test_readout_channel_checks_qubit_cap_first():
     model = flip_model(QUBIT_CAP + 1)
     with pytest.raises(ResourceWarning):
