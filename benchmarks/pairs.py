@@ -21,7 +21,10 @@ quartiles, the change's median relative to the parent's, how much worse
 that is in the metric's bad direction, the metric's bound, the spread of
 the parent's runs (q75 - q25), and the pairs the change won, ties counting
 for neither.  A gain holds when the change wins nine tenths of the pairs
-and the medians differ by more than that spread.
+and the medians differ by more than that spread.  Beside it, ``op_counts``
+gives each side's median op count and median peak_rss_mb per 1,000 ops:
+a run keeps every op's record, so its peak RSS grows with the ops it
+completes, and a faster side reads higher on peak_rss_mb for that alone.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ DESCRIPTION = (
     "the change's commit, edits that no run measured. Every run's end-to-end "
     "readings are listed with its op count; the summary gives each side's median "
     "and quartiles, the change's relative median difference, and the pairs the "
-    "change won.")
+    "change won; `op_counts` gives each side's median op count and median "
+    "peak_rss_mb per 1,000 ops, since peak RSS grows with the ops a run completes.")
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -113,6 +117,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def op_counts(pairs: list[dict]) -> dict:
+    """Per side, the median op count and the median of each run's
+    peak_rss_mb per 1,000 ops."""
+    return {side: {"ops_median": float(np.median([p[side]["ops"] for p in pairs])),
+                   "peak_rss_mb_per_1000_ops_median": float(np.median(
+                       [1000.0 * p[side]["peak_rss_mb"] / p[side]["ops"] for p in pairs]))}
+            for side in SIDES}
+
+
 def gain_shown(row: dict) -> bool:
     """Whether a summary row shows a gain: nine tenths of the pairs won and
     the medians apart by more than the parent's spread."""
@@ -169,7 +182,9 @@ def main(argv=None) -> int:
                   f"{readings[side]['peak_rss_mb']:.1f}", file=sys.stderr)
         pairs.append({"pair": index, "first": first, **{s: readings[s] for s in SIDES}})
     summary = summarize(pairs, spec["end_to_end"])
-    entry = {"seed": args.seed, "seconds": seconds, "pairs": pairs, "summary": summary}
+    counts = op_counts(pairs)
+    entry = {"seed": args.seed, "seconds": seconds, "pairs": pairs, "summary": summary,
+             "op_counts": counts}
     args.out.write_text(json.dumps(record(args.out, revisions, args.workload, entry),
                                    indent=1) + "\n")
     for name, row in summary.items():
@@ -179,6 +194,9 @@ def main(argv=None) -> int:
               f"change {row['change_q25_median_q75'][1]:.6g} "
               f"({100 * row['median_change_rel']:+.1f}%), wins {row['change_wins']}"
               f"/{row['pairs']}, parent IQR {row['parent_iqr']:.3g}: {verdict}")
+    for side, row in counts.items():
+        print(f"{args.workload} {side}: median ops {row['ops_median']:.6g}, peak_rss_mb per "
+              f"1000 ops {row['peak_rss_mb_per_1000_ops_median']:.4g}")
     return 0
 
 

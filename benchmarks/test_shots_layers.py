@@ -1,10 +1,12 @@
-"""Per-call timings of the shots pipeline's layers at n = 8 and n = 11, and
-of one readout-channel pass at n = 8, 11 and 16.
+"""Per-call timings of the shots pipeline's layers at n = 8 and n = 11, of
+mitigation also at n = 14 and 16, and of one readout-channel pass at n = 8,
+11 and 16.
 
 Each case times one public call on inputs shaped like a ``pitvqe sample``
-run: rows of 4, 4 (and 3) blocks starting at column 0, Ry angles near pi on
-the upper-left blocks and near 0 elsewhere, CRy angles near 0, 8192 shots
-and the default flip model.  The channel pass corrupts a seeded Dirichlet
+run: rows of 4, 4, 3 and 3, or four rows of 4, blocks starting at column 0
+(n = 8 and 11 take the first two or three rows), Ry angles near pi on the
+upper-left blocks and near 0 elsewhere, CRy angles near 0, 8192 shots and
+the default flip model.  The channel pass corrupts a seeded Dirichlet
 distribution, since a 16-block circuit is not needed to time it.
 
     python -m pytest benchmarks                        # time every case
@@ -12,6 +14,8 @@ distribution, since a 16-block circuit is not needed to time it.
 
 These cases sit outside ``testpaths``, so the tier-1 suite does not run them.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -23,9 +27,10 @@ from pitvqe.sampling import (corrupt_counts, corrupt_distribution, flip_model, m
 from pitvqe.simulator import InitKind
 
 SHOTS = 8192
-WIDTHS = {8: (4, 4), 11: (4, 4, 3)}
+WIDTHS = {8: (4, 4), 11: (4, 4, 3), 14: (4, 4, 3, 3), 16: (4, 4, 4, 4)}
 
 
+@functools.cache
 def _inputs(n):
     rows = [[(col, 3 - col + row) for col in range(width)]
             for row, width in enumerate(WIDTHS[n])]
@@ -45,7 +50,7 @@ def _inputs(n):
     return circuit, state, model, counts, noisy.to_distribution(n)
 
 
-@pytest.fixture(scope="module", params=sorted(WIDTHS), ids=lambda n: f"n{n}")
+@pytest.fixture(scope="module", params=[8, 11], ids=lambda n: f"n{n}")
 def shots(request):
     return _inputs(request.param)
 
@@ -72,8 +77,9 @@ def test_corrupt_distribution(benchmark, n):
     assert noisy.sum() == pytest.approx(1.0)
 
 
-def test_mitigate(benchmark, shots):
-    _, _, model, _, raw = shots
+@pytest.mark.parametrize("n", sorted(WIDTHS), ids=lambda n: f"n{n}")
+def test_mitigate(benchmark, n):
+    _, _, model, _, raw = _inputs(n)
     assert benchmark(mitigate, raw, model).sum() == pytest.approx(1.0)
 
 

@@ -1,6 +1,7 @@
 """The summary of benchmarks/pairs.py: quartiles, wins and the parent's
 spread, checked against the hand-computed summaries of BENCH_11.json and on
-small cases whose answers are known; and the revisions a BENCH json names."""
+small cases whose answers are known; each side's op counts and peak RSS per
+1,000 ops; and the revisions a BENCH json names."""
 
 import importlib.util
 import json
@@ -53,6 +54,17 @@ def test_summary_of_a_lower_is_better_metric():
                           [metric])["peak_rss_mb"]
     assert row["change_wins"] == 10 and row["parent_iqr"] == 1.0
     assert pairs.gain_shown(row)
+
+
+def test_op_counts_give_median_ops_and_peak_rss_per_thousand_ops():
+    runs = [({"ops": 2000, "peak_rss_mb": 80.0}, {"ops": 2500, "peak_rss_mb": 85.0}),
+            ({"ops": 3000, "peak_rss_mb": 90.0}, {"ops": 3500, "peak_rss_mb": 91.0}),
+            ({"ops": 4000, "peak_rss_mb": 96.0}, {"ops": 5000, "peak_rss_mb": 100.0})]
+    counts = pairs.op_counts([{"pair": i, "parent": p, "change": c}
+                              for i, (p, c) in enumerate(runs)])
+    assert counts == {
+        "parent": {"ops_median": 3000.0, "peak_rss_mb_per_1000_ops_median": 30.0},
+        "change": {"ops_median": 3500.0, "peak_rss_mb_per_1000_ops_median": 26.0}}
 
 
 def test_pairs_alternate_which_side_runs_first():

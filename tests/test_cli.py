@@ -165,6 +165,13 @@ def test_malformed_noise_file_exits_1(mini4_path, tmp_path, capsys):
     assert "p10" in capsys.readouterr().err
 
 
+def test_noise_file_probability_out_of_range_names_its_line(mini4_path, tmp_path, capsys):
+    noise = tmp_path / "bad.txt"
+    noise.write_text("# flips\nq0 1.5 0.1\n")
+    assert main(["sample", "--instance", mini4_path, "--noise", str(noise)]) == 1
+    assert f"{noise}:2: probability 1.5 must be finite" in capsys.readouterr().err
+
+
 def _read_all(outdir):
     return {name: open(os.path.join(outdir, name), "rb").read()
             for name in sorted(os.listdir(outdir))}
