@@ -22,9 +22,12 @@ that is in the metric's bad direction, the metric's bound, the spread of
 the parent's runs (q75 - q25), and the pairs the change won, ties counting
 for neither.  A gain holds when the change wins nine tenths of the pairs
 and the medians differ by more than that spread.  Beside it, ``op_counts``
-gives each side's median op count and median peak_rss_mb per 1,000 ops:
-a run keeps every op's record, so its peak RSS grows with the ops it
-completes, and a faster side reads higher on peak_rss_mb for that alone.
+gives each side's median op count and one least-squares fit of peak_rss_mb
+over every run of both sides, with a common slope per 1,000 ops and one
+intercept per side: a run keeps every op's record, so its peak RSS grows
+with the ops it completes, and a faster side reads higher on peak_rss_mb
+for that alone.  The change's intercept less the parent's is the memory
+change at equal op count.
 """
 
 from __future__ import annotations
@@ -51,8 +54,11 @@ DESCRIPTION = (
     "the change's commit, edits that no run measured. Every run's end-to-end "
     "readings are listed with its op count; the summary gives each side's median "
     "and quartiles, the change's relative median difference, and the pairs the "
-    "change won; `op_counts` gives each side's median op count and median "
-    "peak_rss_mb per 1,000 ops, since peak RSS grows with the ops a run completes.")
+    "change won; `op_counts` gives each side's median op count and one "
+    "least-squares fit of peak_rss_mb over every run of both sides, a common slope "
+    "per 1,000 ops and an intercept per side, since peak RSS grows with the ops a "
+    "run completes; the intercepts' difference is the memory change at equal op "
+    "count.")
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -118,12 +124,20 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def op_counts(pairs: list[dict]) -> dict:
-    """Per side, the median op count and the median of each run's
-    peak_rss_mb per 1,000 ops."""
-    return {side: {"ops_median": float(np.median([p[side]["ops"] for p in pairs])),
-                   "peak_rss_mb_per_1000_ops_median": float(np.median(
-                       [1000.0 * p[side]["peak_rss_mb"] / p[side]["ops"] for p in pairs]))}
-            for side in SIDES}
+    """Per side, the median op count and the intercept of the least-squares
+    fit peak_rss_mb = slope * ops / 1000 + intercept[side] over every run of
+    both sides; the common slope, and the change's intercept less the
+    parent's.  Where every run has one op count the slope is not determined
+    (the minimum-norm fit is taken), but the intercepts' difference is."""
+    runs = [(side, p[side]) for side in SIDES for p in pairs]
+    design = np.array([[run["ops"] / 1000.0, side == "parent", side == "change"]
+                       for side, run in runs], dtype=float)
+    fit = np.linalg.lstsq(design, [run["peak_rss_mb"] for _, run in runs], rcond=None)[0]
+    slope, intercepts = float(fit[0]), dict(zip(SIDES, (float(v) for v in fit[1:])))
+    return {**{side: {"ops_median": float(np.median([p[side]["ops"] for p in pairs])),
+                      "peak_rss_mb_intercept": intercepts[side]} for side in SIDES},
+            "peak_rss_mb_per_1000_ops": slope,
+            "peak_rss_mb_change_at_equal_ops": intercepts["change"] - intercepts["parent"]}
 
 
 def gain_shown(row: dict) -> bool:
@@ -194,9 +208,11 @@ def main(argv=None) -> int:
               f"change {row['change_q25_median_q75'][1]:.6g} "
               f"({100 * row['median_change_rel']:+.1f}%), wins {row['change_wins']}"
               f"/{row['pairs']}, parent IQR {row['parent_iqr']:.3g}: {verdict}")
-    for side, row in counts.items():
-        print(f"{args.workload} {side}: median ops {row['ops_median']:.6g}, peak_rss_mb per "
-              f"1000 ops {row['peak_rss_mb_per_1000_ops_median']:.4g}")
+    for side in SIDES:
+        print(f"{args.workload} {side}: median ops {counts[side]['ops_median']:.6g}, "
+              f"peak_rss_mb intercept {counts[side]['peak_rss_mb_intercept']:.4g}")
+    print(f"{args.workload} peak_rss_mb: {counts['peak_rss_mb_per_1000_ops']:.4g} per 1000 ops, "
+          f"change at equal ops {counts['peak_rss_mb_change_at_equal_ops']:+.3g}")
     return 0
 
 

@@ -39,16 +39,6 @@ class ParamCircuit:
     def param_count(self) -> int:
         return len(self.gates)
 
-    def dump(self) -> str:
-        """One gate per line: ``ry q<i> p<k>`` / ``cry q<c> q<t> p<k>``."""
-        lines = []
-        for g in self.gates:
-            if isinstance(g, SingleRy):
-                lines.append(f"ry q{g.qubit} p{g.param_id}")
-            else:
-                lines.append(f"cry q{g.control} q{g.target} p{g.param_id}")
-        return "\n".join(lines)
-
     def bind(self, params: Sequence[float]) -> np.ndarray:
         """The parameter vector as floats; rejects a wrong parameter count."""
         params = np.asarray(params, dtype=float)

@@ -2,7 +2,7 @@
 
 Every mode resolves its settings, runs the experiment, prints a one-line
 summary, and (with --out) writes plot-ready CSVs plus a run.meta file that
-records the resolved settings.  Identical settings and seed reproduce the
+records every flag as resolved.  Identical settings and seed reproduce the
 output files byte for byte.
 """
 
@@ -26,7 +26,7 @@ from .decomposition import (
     scf_run,
 )
 from .hamiltonian import DiagonalCost, penalty_heuristic
-from .lattice import InstanceError, PitLattice, load_instance
+from .lattice import PitLattice, load_instance
 from .oracle import enumerate_lattice, p_opt, violation_probability
 from .sampling import (
     ReadoutModel,
@@ -86,17 +86,34 @@ def _resolve_noise(spec: str, n: int) -> ReadoutModel | None:
         return None
     if not os.path.exists(spec):
         raise UserError(f"noise model file not found: {spec}")
-    try:
-        return load_readout_model(spec, n)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
+    return load_readout_model(spec, n)
+
+
+def _resolve(args) -> PitLattice:
+    """Load the instance, and replace ``args.instance`` and ``args.gamma`` by
+    the path read and the penalty used, as run.meta records them."""
+    args.instance, lattice = _resolve_instance(args.instance)
+    args.gamma = _resolve_gamma(args.gamma, lattice)
+    return lattice
+
+
+def _problem(args):
+    """The resolved instance, its cost, its circuit and its exact oracle."""
+    lattice = _resolve(args)
+    return (lattice, DiagonalCost(lattice, args.gamma), build_circuit(lattice),
+            enumerate_lattice(lattice, args.gamma))
 
 
 class _OutDir:
-    def __init__(self, path: str | None):
-        self.path = path
-        if path is not None:
-            os.makedirs(path, exist_ok=True)
+    """The output directory, made with run.meta in it: every parsed flag but
+    ``fn`` and ``out``, as resolved, one ``key=value`` line each in key order."""
+
+    def __init__(self, args):
+        self.path = args.out
+        if self.path is not None:
+            os.makedirs(self.path, exist_ok=True)
+        self.write("run.meta", _lines, [f"{k}={v}" for k, v in sorted(vars(args).items())
+                                        if k not in ("fn", "out")])
 
     def write(self, name: str, render: Callable[..., str], *args) -> None:
         """Write ``render(*args)``; without an output directory, render nothing."""
@@ -104,9 +121,6 @@ class _OutDir:
             return
         with open(os.path.join(self.path, name), "w", encoding="ascii") as fh:
             fh.write(render(*args))
-
-    def write_meta(self, settings: dict) -> None:
-        self.write("run.meta", _lines, [f"{k}={settings[k]}" for k in sorted(settings)])
 
 
 def _lines(lines: list[str]) -> str:
@@ -135,12 +149,8 @@ def _solve_config(args, optimizer: Optimizer) -> VqeConfig:
 
 
 def _cmd_oracle(args) -> int:
-    path, lattice = _resolve_instance(args.instance)
-    gamma = _resolve_gamma(args.gamma, lattice)
-    oracle = enumerate_lattice(lattice, gamma)
-    out = _OutDir(args.out)
-    out.write_meta({"mode": "oracle", "instance": path, "gamma": gamma})
-    out.write("oracle.csv", _lines, [
+    oracle = _problem(args)[3]
+    _OutDir(args).write("oracle.csv", _lines, [
         "p_opt_value,ground_cost,optimal_count",
         f"{oracle.p_opt_value},{oracle.ground_cost},{len(oracle.optimal_set)}",
     ])
@@ -149,20 +159,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    path, lattice = _resolve_instance(args.instance)
-    gamma = _resolve_gamma(args.gamma, lattice)
-    h = DiagonalCost(lattice, gamma)
-    circuit = build_circuit(lattice)
-    oracle = enumerate_lattice(lattice, gamma)
+    lattice, h, circuit, oracle = _problem(args)
     config = _solve_config(args, OPTIMIZERS[args.optimizer])
     result = run_with_restarts(circuit, h, config, oracle, restarts=args.restarts)
     popt = p_opt(result.final_distribution, oracle)
-    out = _OutDir(args.out)
-    out.write_meta({
-        "mode": "solve", "instance": path, "gamma": gamma, "init": args.init,
-        "optimizer": args.optimizer, "seed": args.seed,
-        "max_evals": args.max_evals, "restarts": args.restarts,
-    })
+    out = _OutDir(args)
     out.write("trace.csv", _trace_csv, result.history)
     out.write("distribution.csv", distribution_to_csv,
               result.final_distribution, lattice.n)
@@ -171,19 +172,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    path, lattice = _resolve_instance(args.instance)
-    gamma = _resolve_gamma(args.gamma, lattice)
-    h = DiagonalCost(lattice, gamma)
-    circuit = build_circuit(lattice)
-    oracle = enumerate_lattice(lattice, gamma)
+    _, h, circuit, oracle = _problem(args)
     configs = [_solve_config(args, opt) for opt in OPTIMIZERS.values()]
     reports = compare_optimizers(circuit, h, configs, oracle, restarts=args.restarts)
-    out = _OutDir(args.out)
-    out.write_meta({
-        "mode": "compare-optimizers", "instance": path, "gamma": gamma,
-        "init": args.init, "seed": args.seed, "max_evals": args.max_evals,
-        "restarts": args.restarts,
-    })
+    out = _OutDir(args)
     lines = ["optimizer,evaluations_to_converge,final_cost"]
     for report in reports:
         lines.append(
@@ -197,23 +189,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    path, lattice = _resolve_instance(args.instance)
-    gamma = _resolve_gamma(args.gamma, lattice)
+    lattice = _resolve(args)
     partition = _resolve_partition(args.partition, lattice)
     config = ScfConfig(
         init=INITS[args.init],
         optimizer=OPTIMIZERS[args.optimizer],
         seed=args.seed,
     )
-    result = scf_run(lattice, partition, gamma, config)
-    oracle = enumerate_lattice(lattice, gamma)
+    result = scf_run(lattice, partition, args.gamma, config)
+    oracle = enumerate_lattice(lattice, args.gamma)
     popt = p_opt(result.final_distribution, oracle)
-    out = _OutDir(args.out)
-    out.write_meta({
-        "mode": "decompose", "instance": path, "gamma": gamma,
-        "partition": args.partition, "init": args.init,
-        "optimizer": args.optimizer, "seed": args.seed,
-    })
+    out = _OutDir(args)
     out.write("fragments.csv", _fragments_csv, result.traces)
     out.write("distribution.csv", distribution_to_csv,
               result.final_distribution, lattice.n)
@@ -223,11 +209,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    path, lattice = _resolve_instance(args.instance)
-    gamma = _resolve_gamma(args.gamma, lattice)
-    h = DiagonalCost(lattice, gamma)
-    circuit = build_circuit(lattice)
-    oracle = enumerate_lattice(lattice, gamma)
+    lattice, h, circuit, oracle = _problem(args)
     config = _solve_config(args, OPTIMIZERS[args.optimizer])
     result = run_with_restarts(circuit, h, config, oracle, restarts=args.restarts)
     state = prepare(circuit, result.best_params, INITS[args.init])
@@ -236,13 +218,7 @@ def _cmd_sample(args) -> int:
     if model is not None:
         counts = corrupt_counts(counts, model, args.seed + 1)
     dist = counts.to_distribution(lattice.n)
-    out = _OutDir(args.out)
-    out.write_meta({
-        "mode": "sample", "instance": path, "gamma": gamma, "init": args.init,
-        "optimizer": args.optimizer, "seed": args.seed, "shots": args.shots,
-        "noise": args.noise, "mitigate": args.mitigate,
-        "max_evals": args.max_evals, "restarts": args.restarts,
-    })
+    out = _OutDir(args)
     out.write("counts.csv", counts_to_csv, counts, lattice.n)
     out.write("distribution.csv", distribution_to_csv, dist, lattice.n)
     exact = probabilities(state)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ansatz import ParamCircuit, build_circuit, prepare
 from .hamiltonian import QUBIT_CAP
-from .lattice import PitLattice
+from .lattice import PitLattice, content_lines
 from .simulator import InitKind, StateVector, excavation_probabilities, probabilities
 from .vqe import DescentState, Objective, Optimizer
 
@@ -76,13 +76,17 @@ def partition_custom(lattice: PitLattice, assignment: Mapping[int, int]) -> Part
 
 
 def load_partition(path, lattice: PitLattice) -> Partition:
-    """One fragment per line, whitespace-separated block ids."""
+    """One fragment per line, whitespace-separated block ids; ``#`` starts a
+    comment.  A token that is not an integer raises ValueError naming the
+    file and line."""
     frags = []
     with open(path, encoding="ascii") as fh:
-        for raw in fh:
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                frags.append(tuple(int(tok) for tok in stripped.split()))
+        for lineno, text in content_lines(fh):
+            try:
+                frags.append(tuple(int(tok) for tok in text.split()))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected block ids, got {text!r}") from None
     return partition_custom(lattice, Partition(tuple(frags)).fragment_of)
 
 
@@ -258,7 +262,6 @@ class ScfResult:
     final_distribution: np.ndarray
     sweeps: int
     converged: bool
-    fragment_histories: list[list[tuple[int, float]]]
 
 
 def boundary_kick(params: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -332,7 +335,7 @@ def scf_run(
         )
         for fp in problems
     ]
-    costs = [Objective(fp.circuit, None, config.init, []) for fp in problems]
+    costs = [Objective(fp.circuit, None, config.init) for fp in problems]
     states = [
         prepare(fp.circuit, st.params, config.init)
         for fp, st in zip(problems, opt_states)
@@ -340,7 +343,6 @@ def scf_run(
     mean_z = np.empty(lattice.n)
     for fp, st in zip(problems, states):
         mean_z[fp.block_index] = fragment_mean_fields(fp, st)
-    multi = len(problems) > 1
     traces: list[list[float]] = []
     energy_trace: list[float] = []
     converged = False
@@ -348,14 +350,12 @@ def scf_run(
     while sweep < config.max_sweeps:
         sweep += 1
         for a, (fp, opt, cost) in enumerate(zip(problems, opt_states, costs)):
+            # the diagonal, and maybe the point, moved since the last step
             cost.diag = effective_diagonal(fp, mean_z, gamma_f)
-            opt.iterate(cost, cost.gradient, refresh=multi)
+            opt.iterate(cost, cost.gradient, refresh=True)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params)
-            kicked = boundary_kick(opt.params, rng)
-            if (kicked != opt.params).any():
-                opt.params = kicked
-                opt.fx = None  # force re-evaluation next iteration
+            opt.params = boundary_kick(opt.params, rng)
             # the accepted trial's amplitudes, unless projection or kick moved it
             states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
             mean_z[fp.block_index] = fragment_mean_fields(fp, states[a])
@@ -377,5 +377,4 @@ def scf_run(
         final_distribution=_product_distribution(problems, states, lattice.n),
         sweeps=sweep,
         converged=converged,
-        fragment_histories=[cost.history for cost in costs],
     )

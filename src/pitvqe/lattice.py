@@ -11,7 +11,7 @@ parents excavated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class InstanceError(ValueError):
@@ -24,16 +24,6 @@ class Block:
     row: int
     col: int
     profit: int
-    value: int | None = None
-    cost: int | None = None
-
-    def __post_init__(self):
-        if self.value is not None and self.cost is not None:
-            if self.profit != self.value - self.cost:
-                raise InstanceError(
-                    f"block {self.id}: profit {self.profit} != value - cost "
-                    f"({self.value} - {self.cost})"
-                )
 
 
 @dataclass(frozen=True)
@@ -114,6 +104,15 @@ def smoothness(lattice: PitLattice, z: Sequence[int]) -> int:
     )
 
 
+def content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) of each line of an input file that holds
+    more than blanks once its ``#`` comment is cut, the text stripped."""
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
+
+
 def parse_instance(text: str) -> PitLattice:
     """Parse the instance file format.
 
@@ -121,11 +120,7 @@ def parse_instance(text: str) -> PitLattice:
     surface down; line r holds whitespace-separated ``col:profit`` pairs.
     ``#`` starts a comment; blank lines are ignored.
     """
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = list(content_lines(text.splitlines()))
     if not lines:
         raise InstanceError("empty instance: no header line")
     lineno, header = lines[0]

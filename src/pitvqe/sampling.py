@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import QUBIT_CAP
+from .lattice import content_lines
 from .simulator import StateVector, probabilities
 
 # typical transmon readout magnitudes for the synthetic "hardware-like" runs
@@ -164,10 +165,7 @@ def load_readout_model(path, n: int) -> ReadoutModel:
     mats = [np.eye(2) for _ in range(n)]
     listed: dict[int, int] = {}  # qubit -> line that set it
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
+        for lineno, stripped in content_lines(fh):
             parts = stripped.split()
             try:
                 if len(parts) != 3 or not parts[0].startswith("q"):

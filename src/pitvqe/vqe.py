@@ -37,8 +37,12 @@ SPSA_C = 0.2
 SPSA_ALPHA = 0.602
 SPSA_GAMMA = 0.101
 INIT_PARAM_RANGE = (-np.pi / 10, np.pi / 10)  # initial parameters drawn uniformly
-TOLERANCE = 1e-6  # spread of the last accepted costs that counts as converged
+TOLERANCE = 1e-6  # spread of the last WINDOW accepted costs that counts as converged
+WINDOW = 10
 GRAD_TOLERANCE = 1e-3  # stationarity check for the descent methods
+SHRINK = 0.5  # ratio of successive line-search trial steps
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the Armijo test
+TRIES = 60  # trial steps a line search makes at most
 # Amplitudes a line search runs at once: its trial points go through the
 # circuit in blocks of 256 >> n rows, so circuits of 9 or more qubits run one
 # trial at a time.
@@ -86,20 +90,19 @@ class Objective:
 
     ``values`` runs a (B, P) block of parameter rows and returns their costs
     as floats, each row's taken by the same ddot as ``expect_diagonal``'s
-    ``np.dot``; it books nothing.  ``record`` books one cost in ``history``,
-    so a line search books only the trials it reaches; called directly the
-    objective does both for one row.  A point is (params, amplitudes,
-    forward), where ``forward`` is the (pass, row) of the ``Program.forward``
-    pass that ran ``params``.  ``point`` keeps the last point it returned,
-    across blocks, and otherwise takes a row of the last block, so the cost,
-    amplitudes and gradient at one point, or at a trial the line search ran,
-    share one forward pass.  No pass depends on ``diag``, so a caller may
-    replace it between steps.
+    ``np.dot``; it books nothing.  ``record`` hands one cost on and is where
+    a subclass books it, so a line search books only the trials it reaches;
+    called directly the objective does both for one row.  A point is
+    (params, amplitudes, forward), where ``forward`` is the (pass, row) of
+    the ``Program.forward`` pass that ran ``params``.  ``point`` keeps the
+    last point it returned, across blocks, and otherwise takes a row of the
+    last block, so the cost, amplitudes and gradient at one point, or at a
+    trial the line search ran, share one forward pass.  No pass depends on
+    ``diag``, so a caller may replace it between steps.
     """
 
-    def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind,
-                 history: list[tuple[int, float]]):
-        self.circuit, self.diag, self.init, self.history = circuit, diag, init, history
+    def __init__(self, circuit: ParamCircuit, diag: np.ndarray, init: InitKind):
+        self.circuit, self.diag, self.init = circuit, diag, init
         self.n = circuit.n
         self._rows = np.empty((0, circuit.param_count))  # the last block run
         self._forward = self._last = None
@@ -113,7 +116,6 @@ class Objective:
         return _row_costs(self._run(rows), self.diag)
 
     def record(self, params: np.ndarray, value: float) -> float:
-        self.history.append((len(self.history), value))
         return value
 
     def __call__(self, params: np.ndarray) -> float:
@@ -150,15 +152,17 @@ class Objective:
 class _Evaluator(Objective):
     """An ``Objective`` that charges the budget and tracks the best point.
 
-    A cost evaluation costs 1 and gets one trace row and parameter snapshot.
-    A gradient costs 2P, what a central-difference or parameter-shift
-    gradient takes, charged in full or not at all; it adds no trace rows.
+    A cost evaluation costs 1 and gets one ``history`` row (evaluation,
+    cost), the run's trace, and one parameter snapshot.  A gradient costs 2P,
+    what a central-difference or parameter-shift gradient takes, charged in
+    full or not at all; it adds no trace rows.
     """
 
     def __init__(self, circuit, h, init, budget):
-        super().__init__(circuit, h.dense_diagonal(), init, [])
+        super().__init__(circuit, h.dense_diagonal(), init)
         self.budget = budget
         self.used = 0
+        self.history: list[tuple[int, float]] = []
         self.snapshots: list[np.ndarray] = []
         self.best_cost = np.inf
         self.best_params: np.ndarray | None = None
@@ -174,7 +178,7 @@ class _Evaluator(Objective):
             raise FloatingPointError(
                 f"non-finite cost {value} at parameters {params!r}"
             )
-        super().record(params, value)
+        self.history.append((len(self.history), value))
         self.snapshots.append(np.array(params))
         if value < self.best_cost:
             self.best_cost = value
@@ -253,11 +257,11 @@ def spsa_step(
     return params - ak * ghat
 
 
-def _window_converged(costs: list[float], tol: float, window: int = 10) -> bool:
-    if len(costs) < window:
+def _window_converged(costs: list[float]) -> bool:
+    if len(costs) < WINDOW:
         return False
-    tail = costs[-window:]
-    return max(tail) - min(tail) < tol
+    tail = costs[-WINDOW:]
+    return max(tail) - min(tail) < TOLERANCE
 
 
 def _project(params: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarray:
@@ -266,20 +270,18 @@ def _project(params: np.ndarray, bounds: tuple[float, float] | None) -> np.ndarr
     return _clip(params, bounds[0], bounds[1])
 
 
-def _line_search(
-    f, params, fx, direction, slope, bounds, t0=1.0, shrink=0.5, c1=1e-4, tries=60
-):
+def _line_search(f, params, fx, direction, slope, bounds, t0=1.0):
     """Backtracking Armijo search along direction, projected into bounds.
 
-    Trial steps t0 shrink^j run in blocks of ``BLOCK_AMPLITUDES >> f.n``
-    rows when ``f`` has ``values`` (a block's costs as floats, no side
-    effects) and ``record`` (charge and record one cost): one call costs the
-    whole block, then the trials replay in order, each recorded and given
-    the Armijo test on its float, up to the first accepted one.  Charges,
-    history, the budget and the non-finite check so act at the trial they
-    would act at one trial at a time, and rows past the accepted trial count
-    for nothing.  A plain callable is a block of one that records as it
-    evaluates.
+    Trial steps t0 SHRINK^j, j < TRIES, run in blocks of
+    ``BLOCK_AMPLITUDES >> f.n`` rows when ``f`` has ``values`` (a block's
+    costs as floats, no side effects) and ``record`` (charge and record one
+    cost): one call costs the whole block, then the trials replay in order,
+    each recorded and given the Armijo test on its float, up to the first
+    accepted one.  Charges, history, the budget and the non-finite check so
+    act at the trial they would act at one trial at a time, and rows past
+    the accepted trial count for nothing.  A plain callable is a block of
+    one that records as it evaluates.
 
     Returns (new_params, new_cost, accepted_step).
     """
@@ -288,15 +290,15 @@ def _line_search(
     else:  # a plain callable: a block of one that records as it evaluates
         rows, values, record = 1, lambda block: [f(block[0])], lambda cand, fc: fc
     t = t0
-    for start in range(0, tries, rows):
+    for start in range(0, TRIES, rows):
         steps = []
-        for _ in range(min(rows, tries - start)):
+        for _ in range(min(rows, TRIES - start)):
             steps.append(t)
-            t *= shrink
+            t *= SHRINK
         cands = _project(params + np.array(steps)[:, None] * direction, bounds)
         for step, cand, fc in zip(steps, cands, values(cands)):
             fc = record(cand, fc)
-            if fc <= fx + c1 * slope * step or fc < fx - 1e-15:
+            if fc <= fx + ARMIJO_C1 * slope * step or fc < fx - 1e-15:
                 return cand, fc, step
     return params, fx, t
 
@@ -380,7 +382,7 @@ class DescentState:
         self.accepted.append(new_fx)
         # a flat cost window alone can fire while crawling out of a saddle,
         # so also require approximate stationarity
-        return _window_converged(self.accepted, TOLERANCE) and bool(
+        return _window_converged(self.accepted) and bool(
             np.max(np.abs(self.grad)) < GRAD_TOLERANCE
         )
 
@@ -409,7 +411,7 @@ def _spsa_loop(f, params, rng: np.random.Generator):
         params = spsa_step(params, f, k, a, A, rng)
         accepted.append(f(params))  # trace + best-point tracking at the iterate
         k += 1
-        if _window_converged(accepted, TOLERANCE):
+        if _window_converged(accepted):
             break
     return params
 

@@ -15,9 +15,9 @@ def test_mini4_circuit_structure():
     circ = build_circuit(MINI4)
     assert circ.n == 4
     assert circ.param_count == 7
-    assert circ.dump() == (
-        "ry q0 p0\nry q1 p1\nry q2 p2\nry q3 p3\n"
-        "cry q3 q0 p4\ncry q3 q1 p5\ncry q3 q2 p6"
+    assert circ.gates == (
+        SingleRy(0, 0), SingleRy(1, 1), SingleRy(2, 2), SingleRy(3, 3),
+        ControlledRy(3, 0, 4), ControlledRy(3, 1, 5), ControlledRy(3, 2, 6),
     )
 
 

@@ -1,7 +1,7 @@
 """The summary of benchmarks/pairs.py: quartiles, wins and the parent's
 spread, checked against the hand-computed summaries of BENCH_11.json and on
-small cases whose answers are known; each side's op counts and peak RSS per
-1,000 ops; and the revisions a BENCH json names."""
+small cases whose answers are known; each side's op count and the pooled
+fit of peak RSS against op count; and the revisions a BENCH json names."""
 
 import importlib.util
 import json
@@ -57,14 +57,43 @@ def test_summary_of_a_lower_is_better_metric():
 
 
 def test_op_counts_give_median_ops_and_peak_rss_per_thousand_ops():
-    runs = [({"ops": 2000, "peak_rss_mb": 80.0}, {"ops": 2500, "peak_rss_mb": 85.0}),
-            ({"ops": 3000, "peak_rss_mb": 90.0}, {"ops": 3500, "peak_rss_mb": 91.0}),
-            ({"ops": 4000, "peak_rss_mb": 96.0}, {"ops": 5000, "peak_rss_mb": 100.0})]
+    # 8 MB per 1,000 ops on both sides; the change sits 2 MB higher at equal ops
+    runs = [({"ops": 2000, "peak_rss_mb": 80.0}, {"ops": 2500, "peak_rss_mb": 86.0}),
+            ({"ops": 3000, "peak_rss_mb": 88.0}, {"ops": 3500, "peak_rss_mb": 94.0}),
+            ({"ops": 4000, "peak_rss_mb": 96.0}, {"ops": 5000, "peak_rss_mb": 106.0})]
     counts = pairs.op_counts([{"pair": i, "parent": p, "change": c}
                               for i, (p, c) in enumerate(runs)])
     assert counts == {
-        "parent": {"ops_median": 3000.0, "peak_rss_mb_per_1000_ops_median": 30.0},
-        "change": {"ops_median": 3500.0, "peak_rss_mb_per_1000_ops_median": 26.0}}
+        "parent": {"ops_median": 3000.0, "peak_rss_mb_intercept": pytest.approx(64.0)},
+        "change": {"ops_median": 3500.0, "peak_rss_mb_intercept": pytest.approx(66.0)},
+        "peak_rss_mb_per_1000_ops": pytest.approx(8.0),
+        "peak_rss_mb_change_at_equal_ops": pytest.approx(2.0)}
+
+
+def test_op_counts_fit_one_slope_over_both_sides():
+    # scattered runs: the pooled fit is the slope of the within-side
+    # deviations, and the intercepts put each side's mean on the line
+    parent = [(2000, 81.0), (3000, 87.0), (4000, 97.0)]
+    change = [(2500, 85.0), (3000, 91.0), (5000, 104.0)]
+    counts = pairs.op_counts([
+        {"pair": i, "parent": {"ops": po, "peak_rss_mb": pm},
+         "change": {"ops": co, "peak_rss_mb": cm}}
+        for i, ((po, pm), (co, cm)) in enumerate(zip(parent, change))])
+    dev = [(ops / 1000 - mean_ops, mb - mean_mb)
+           for side in (parent, change)
+           for mean_ops, mean_mb in [(sum(o for o, _ in side) / 3000,
+                                      sum(m for _, m in side) / 3)]
+           for ops, mb in side]
+    slope = sum(x * y for x, y in dev) / sum(x * x for x, _ in dev)
+    assert counts["peak_rss_mb_per_1000_ops"] == pytest.approx(slope)
+    for side, runs in (("parent", parent), ("change", change)):
+        assert counts[side]["peak_rss_mb_intercept"] == pytest.approx(
+            sum(m for _, m in runs) / 3 - slope * sum(o for o, _ in runs) / 3000)
+    # equal op counts on every run leave the slope open but fix the difference
+    same = pairs.op_counts([{"pair": i, "parent": {"ops": 3000, "peak_rss_mb": 90.0 + i},
+                             "change": {"ops": 3000, "peak_rss_mb": 93.0 + i}}
+                            for i in range(3)])
+    assert same["peak_rss_mb_change_at_equal_ops"] == pytest.approx(3.0)
 
 
 def test_pairs_alternate_which_side_runs_first():

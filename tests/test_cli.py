@@ -278,3 +278,33 @@ def test_outputs_match_their_recorded_hashes(case, tmp_path, monkeypatch, capsys
     written["stdout"] = capsys.readouterr().out.encode()
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in written.items()} == want
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["oracle", "--instance", "mini4.pit"],
+     "gamma=5/3\ninstance=mini4.pit\nmode=oracle\n"),
+    (["solve", "--instance", "mini4.pit", "--gamma", "7/3", "--seed", "2",
+      "--max-evals", "300", "--restarts", "0"],
+     "gamma=7/3\ninit=zero\ninstance=mini4.pit\nmax_evals=300\nmode=solve\n"
+     "optimizer=qnb\nrestarts=0\nseed=2\n"),
+    (["compare-optimizers", "--instance", "mini4.pit", "--gamma", "14/6", "--init",
+      "plus", "--max-evals", "300", "--restarts", "0"],
+     "gamma=7/3\ninit=plus\ninstance=mini4.pit\nmax_evals=300\n"
+     "mode=compare-optimizers\nrestarts=0\nseed=0\n"),
+], ids=["oracle", "solve", "compare-optimizers"])
+def test_run_meta_records_the_resolved_settings(argv, want, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(bundled_instance_path("mini4"), "mini4.pit")
+    assert main([*argv, "--out", "out"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "run.meta").read_text() == want
+
+
+def test_partition_file_with_a_bad_block_id_names_its_line(mini4_path, tmp_path,
+                                                           capsys):
+    cut = tmp_path / "cut.txt"
+    cut.write_text("# rows\n0 1 2\n3 x\n")
+    assert main(["decompose", "--instance", mini4_path, "--gamma", "7/3",
+                 "--partition", str(cut)]) == 1
+    assert capsys.readouterr().err == f"error: {cut}:3: expected block ids, got '3 x'\n"

@@ -24,6 +24,7 @@ from pitvqe.decomposition import (
 from pitvqe.hamiltonian import DiagonalCost, index_to_bits
 from pitvqe.lattice import load_instance, parse_instance
 from pitvqe.oracle import enumerate_lattice, p_opt
+from pitvqe import vqe
 from pitvqe.simulator import InitKind, Program, StateVector, init_state
 from pitvqe.vqe import Optimizer
 
@@ -267,3 +268,21 @@ def test_single_fragment_scf_tracks_plain_vqe():
     assert result.energy_trace[-1] == pytest.approx(float(oracle.ground_cost),
                                                     abs=1e-4)
     assert p_opt(result.final_distribution, oracle) >= 0.99
+
+
+def test_one_fragment_steps_start_from_the_cost_at_their_start_point(monkeypatch):
+    # the sum constraint and the kick move a whole-lattice fragment's point
+    # between steps, so each line search must start from the cost there
+    line_search = vqe._line_search
+    starts = []
+
+    def checked(f, params, fx, *args, **kwargs):
+        amps = f.circuit.program.amplitudes(params, f.init)
+        starts.append((fx, float(np.dot(amps * amps, f.diag))))
+        return line_search(f, params, fx, *args, **kwargs)
+
+    monkeypatch.setattr(vqe, "_line_search", checked)
+    scf_run(STEP9, Partition((tuple(range(STEP9.n)),)), Fraction(8, 3),
+            ScfConfig(seed=2, optimizer=Optimizer.QUASI_NEWTON_BOUNDED))
+    assert len(starts) > 30
+    assert [fx for fx, _ in starts] == [want for _, want in starts]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from pitvqe import bundled_instance_path
 from pitvqe.lattice import (
-    Block,
     InstanceError,
     PitLattice,
     load_instance,
@@ -87,12 +86,6 @@ def test_pairs_lexicographic():
     pairs = lat.pairs()
     assert pairs == sorted(pairs)
     assert all(lat.blocks[c].row == lat.blocks[p].row + 1 for c, p in pairs)
-
-
-def test_value_cost_consistency_check():
-    Block(id=0, row=0, col=0, profit=3, value=5, cost=2)
-    with pytest.raises(InstanceError, match="profit"):
-        Block(id=0, row=0, col=0, profit=4, value=5, cost=2)
 
 
 @st.composite
