@@ -9,6 +9,13 @@ smooth12 and the band).  A gradient is taken at the middle row of a forward
 pass already run, as a solve takes it at its line search's accepted trial,
 so it times the reverse sweep alone.
 
+The first calls on a new program are timed apart, on stringer12 and the
+band: compiling the circuit plus its first ``forward``, which builds that
+block size's tape tables, and the first ``gradient``, which builds the
+reverse tables.  A one-row ``run`` on an 11-block lattice (rows of 4, 4 and
+3 blocks, shots_mitigate's largest shape) times the streaming pass a
+circuit run once takes.
+
     python -m pytest benchmarks                        # time every case
     python -m pytest benchmarks --benchmark-disable    # run each case once
 
@@ -21,7 +28,7 @@ import numpy as np
 import pytest
 
 from pitvqe import bundled_instance_path
-from pitvqe.ansatz import build_circuit
+from pitvqe.ansatz import ParamCircuit, build_circuit
 from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import load_instance, make_lattice
 from pitvqe.simulator import InitKind
@@ -55,3 +62,41 @@ def test_gradient(benchmark, case):
     kept = program.forward(rows, init), len(rows) // 2
     grad = benchmark(program.gradient, rows[kept[1]], diag, init, kept)
     assert grad.shape == rows[0].shape and np.isfinite(grad).all()
+
+
+@pytest.mark.parametrize("name", ["stringer12", "band4-b16"])
+def test_compile_and_first_forward(benchmark, name):
+    lattice, _, init, b = CASES[name]
+    circuit = build_circuit(lattice)
+    rows = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, (b, circuit.param_count))
+
+    def first_forward():  # a new circuit compiles a new program
+        return ParamCircuit(circuit.n, circuit.gates).program.forward(rows, init)
+
+    assert benchmark(first_forward)[-1].shape == (b, 1 << lattice.n)
+
+
+@pytest.mark.parametrize("name", ["stringer12", "band4-b16"])
+def test_first_gradient(benchmark, name):
+    lattice, gamma, init, b = CASES[name]
+    circuit = build_circuit(lattice)
+    rows = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, (b, circuit.param_count))
+    diag = DiagonalCost(lattice, gamma).dense_diagonal()
+
+    def new_pass():  # a program with one forward pass run and no gradient taken
+        program = ParamCircuit(circuit.n, circuit.gates).program
+        kept = program.forward(rows, init), b // 2
+        return (program, rows[kept[1]], diag, init, kept), {}
+
+    grad = benchmark.pedantic(lambda program, *args: program.gradient(*args),
+                              setup=new_pass, rounds=200)
+    assert grad.shape == rows[0].shape and np.isfinite(grad).all()
+
+
+def test_run_one_row_on_eleven_blocks(benchmark):
+    lattice = make_lattice([[(c, w) for c, w in enumerate(profits)]
+                            for profits in ((-2, -1, -2, -3), (1, 4, 2, -1), (3, 6, 2))])
+    circuit = build_circuit(lattice)
+    params = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, (1, circuit.param_count))
+    amps = benchmark(circuit.program.run, params, InitKind.ALL_ZERO)
+    assert lattice.n == 11 and amps.shape == (1, 1 << 11)

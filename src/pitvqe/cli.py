@@ -56,8 +56,7 @@ def _resolve_instance(spec: str) -> tuple[str, PitLattice]:
     if os.path.exists(spec):
         return spec, load_instance(spec)
     if spec in BUNDLED_INSTANCES:
-        path = bundled_instance_path(spec)
-        return str(path), load_instance(path)
+        return spec, load_instance(bundled_instance_path(spec))
     raise UserError(f"instance file not found: {spec}")
 
 
@@ -90,8 +89,9 @@ def _resolve_noise(spec: str, n: int) -> ReadoutModel | None:
 
 
 def _resolve(args) -> PitLattice:
-    """Load the instance, and replace ``args.instance`` and ``args.gamma`` by
-    the path read and the penalty used, as run.meta records them."""
+    """Load the instance, and replace ``args.gamma`` by the penalty used, as
+    run.meta records it; ``args.instance`` stays as given, a file path or a
+    bundled instance's name, so run.meta does not depend on the install."""
     args.instance, lattice = _resolve_instance(args.instance)
     args.gamma = _resolve_gamma(args.gamma, lattice)
     return lattice

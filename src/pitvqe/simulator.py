@@ -7,9 +7,14 @@ real throughout; basis index bit i is z_i with qubit 0 least significant.
 circuit runs as a ``Program``: its leading Ry layer is built directly as a
 product state, and the remaining gates act through index pairs computed once
 per program.  A program runs a block of parameter rows at once, each row
-bitwise as it runs alone, and gives the exact gradient by a reverse sweep
-that reads the state from the gate outputs a forward pass kept, which can
-be a row of a pass already run.
+bitwise as it runs alone, in one of two passes.  ``run`` streams: each gate
+gathers its pairs, rotates them and scatters them back into the state.
+``forward`` keeps what the gradient reads: its pass writes a tape, the
+product state and then every gate's output in a slot of its own, and each
+gate gathers its input through a source table, the tape position of each
+amplitude's latest value, so no gate scatters.  The exact gradient is a
+reverse sweep on a tape of its own that reads the state from the gate
+outputs a forward pass kept, which can be a row of a pass already run.
 """
 
 from __future__ import annotations
@@ -121,6 +126,13 @@ def _insert_zero(x: np.ndarray, bit: np.ndarray) -> np.ndarray:
     return (x >> bit << (bit + 1)) | (x & ((1 << bit) - 1))
 
 
+def _ones(b: int) -> np.ndarray:
+    """The read-only (b, 1, 1) ones that start a block's product state."""
+    ones = np.ones((b, 1, 1))
+    ones.setflags(write=False)
+    return ones
+
+
 def _tail_pairs(n: int, control: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
     """Each gate's (2, m) pairs: the basis indices with target bit 0 (and
     control bit 1), in ascending order, over the same with target bit 1.
@@ -157,6 +169,14 @@ class Program:
     circuit order: gate k has parameter ``tail_param[k]`` and a (2, m) array
     of basis indices whose columns are the amplitude pairs it rotates (target
     bit 0 and 1, control bit 1 for a controlled rotation).
+
+    The tape tables are built on first use and kept: ``forward``'s per block
+    size B, sum(B 2m) + B 2^n indices over the tail gates, on the block
+    size's first pass, and ``gradient``'s, sum(2m) + 2^n, on the first
+    gradient; a program without a tail builds none.  Each is about one pass
+    of integer work.  At n = 12 a table set takes 0.2 MB for stringer12's 11
+    controlled rotations and 0.35 MB for smooth12's 19; for 20 blocks with 36
+    parent-child pairs, 160 MB.
     """
 
     def __init__(
@@ -185,66 +205,155 @@ class Program:
                 _check_pair(n, control, target)
         self.tail_pairs = _tail_pairs(n, np.asarray(tail_control, dtype=np.intp),
                                       np.asarray(tail_target, dtype=np.intp))
-        self._blocks: dict[int, tuple] = {}
+        self._blocks: dict[int, tuple] = {}  # run's pairs per block size
+        self._tables: dict[int, tuple] = {}  # forward's tape tables per block size
+        self._reverse = None  # the gradient's tape tables, built on first use
 
     def _block(self, b: int) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per block size ``b``: the (b, 1, 1) ones that start the product
         state, read-only, and each tail gate's (b, 2, m) pairs into ``b``
-        rows laid end to end."""
+        rows laid end to end, as ``run`` scatters them."""
         block = self._blocks.get(b)
         if block is None:
-            ones = np.ones((b, 1, 1))
-            ones.setflags(write=False)
             if b == 1:  # a block of one row reads the gates' own pairs
                 pairs = [p[None] for p in self.tail_pairs]
             else:
                 offsets = (np.arange(b) << self.n)[:, None, None]
                 pairs = [p + offsets for p in self.tail_pairs]
-            block = self._blocks[b] = ones, pairs
+            block = self._blocks[b] = _ones(b), pairs
         return block
 
+    def _tape_tables(self, lead: tuple, order) -> tuple:
+        """The tape layout and tables of a sweep over states of leading shape
+        ``lead``, ``(b,)`` or ``()``, visiting the tail gates in ``order``.
+
+        The tape holds the states first, then each tail gate's output in a
+        slot of its own: one block of (*lead, 2, m) slots per kind of gate,
+        the uncontrolled rotations' before the controlled ones'.  Every slot
+        is aligned to its size and the tape padded to a whole number of the
+        largest, so the tape reshaped to (-1, *lead, 2, m) holds a gate's
+        output as the integer-index view ``view[j]``.  The tables come from
+        simulating the sweep's writes on the tape positions of the states: a
+        gate's source table takes the latest position of each amplitude on
+        its pairs, then its slot becomes their latest.  Returns (size, head,
+        shapes, steps, final): the tape's length, the states' length, each
+        kind's view shape, per gate in ``order`` its (gate, kind, slot,
+        source table), and the latest position of every amplitude once the
+        sweep ends.  Without a tail there is no tape, and no steps.
+        """
+        if not self.tail_pairs:
+            return 0, 0, [], [], None
+        count = int(np.prod(lead, dtype=int))
+        size = head = count << self.n
+        widths = sorted({p.shape[1] for p in self.tail_pairs}, reverse=True)
+        place = {}
+        for kind, width in enumerate(widths):
+            for k, pairs in enumerate(self.tail_pairs):
+                if pairs.shape[1] == width:
+                    place[k] = kind, size // (2 * count * width)
+                    size += 2 * count * width
+        size += -size % (2 * count * widths[0])
+        shapes = [(-1, *lead, 2, width) for width in widths]
+        position = np.arange(size)
+        views = [position.reshape(shape) for shape in shapes]
+        latest = position[:head].reshape(*lead, -1).copy()
+        steps = []
+        for k in order:
+            kind, j = place[k]
+            pairs = self.tail_pairs[k]
+            steps.append((k, kind, j, latest.take(pairs, axis=-1)))
+            latest[..., pairs] = views[kind][j]
+        return size, head, shapes, steps, latest
+
+    def _forward_tables(self, b: int) -> tuple:
+        """Per block size ``b``: the ones that start the product state and
+        the forward tape's (size, head, shapes, steps, final)."""
+        tables = self._tables.get(b)
+        if tables is None:
+            tables = self._tables[b] = (
+                _ones(b), *self._tape_tables((b,), range(len(self.tail_pairs))))
+        return tables
+
+    def _layer(self, rows: np.ndarray, init: InitKind, ones: np.ndarray) -> tuple:
+        """The leading layer on a (B, P) block: (trig, v, prefixes, last),
+        where ``trig`` holds each row's (cos, sin) of every half angle, the
+        zero angle first, and the caller multiplies ``last``, the top
+        qubit's (B, 2, 1) state, into ``prefixes[-1]`` for the product state."""
+        b = len(rows)
+        half = np.zeros((b, rows.shape[1] + 1, 1))
+        half[:, 1:, 0] = rows
+        half /= 2.0
+        trig = np.concatenate((np.cos(half), np.sin(half)), axis=2).reshape(b, -1)
+        v = _INIT_MATRIX[init] @ trig.take(self._layer_trig, axis=1)
+        *states, last = v.transpose(2, 0, 1)[..., None]
+        prefixes = [ones]
+        for state in states:  # (v0 * prefix, v1 * prefix)
+            prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
+        return trig, v, prefixes, last
+
+    def _rotations(self, trig: np.ndarray) -> np.ndarray:
+        """Each tail gate's (B, 2, 2) matrices, stored (B, 2, 2, K) so a
+        gate's 2x2 has the strides of a single row's."""
+        rotations = trig.take(self._tail_trig, axis=1) * _ROTATION_SIGN
+        return rotations.transpose(3, 0, 1, 2)
+
     def forward(self, rows: np.ndarray, init: InitKind):
-        """Run the circuit on a (B, P) block of parameter rows.
+        """Run the circuit on a (B, P) block of parameter rows, keeping what
+        the gradient reads.
 
         Returns (v, prefixes, rotations, outputs, amplitudes): ``v[:, :, q]``
         is qubit q's state after its leading Ry, ``prefixes[q]`` the
         (B, 1, 2^q) product state of qubits below q, ``rotations[k]`` tail
         gate k's (B, 2, 2) matrices and ``outputs[k]`` its (B, 2, m) output,
         the amplitudes on its pairs just after it (none without a tail), and
-        the amplitudes are (B, 2^n).  The outputs are the products the pass
-        computes anyway, kept for the gradient: B 2^(n-1) doubles for each
-        controlled rotation and B 2^n for each uncontrolled one.  Each row
-        goes through the ops, shapes and strides of a block of one, so every
-        row is bitwise what running it alone gives.
+        the amplitudes are (B, 2^n).
+
+        The pass writes into a tape of its own, a new flat buffer: the
+        product state, then every gate's output in its own slot.  A gate
+        gathers its input pairs with one ``take`` through its source table,
+        the tape position of each amplitude's latest value, and its 2x2
+        product goes straight into its slot, so no gate scatters; the
+        amplitudes are one last ``take``.  The tables are built on a block
+        size's first pass, about one pass of integer work, and kept.  A kept
+        pass holds B 2^n doubles for the product state, B 2^(n-1) for each
+        controlled rotation and B 2^n for each uncontrolled one, and the
+        tables take as many indices.  Each row goes through the ops, shapes
+        and strides of a block of one, so every row is bitwise what running
+        it alone gives.
         """
         b = len(rows)
-        half = np.zeros((b, rows.shape[1] + 1, 1))
-        half[:, 1:, 0] = rows
-        half /= 2.0
-        # per row (cos, sin) of each half angle, the zero angle first
-        trig = np.concatenate((np.cos(half), np.sin(half)), axis=2).reshape(b, -1)
-        v = _INIT_MATRIX[init] @ trig.take(self._layer_trig, axis=1)
-        ones, block_pairs = self._block(b)
-        prefixes = [ones]
-        for state in v.transpose(2, 0, 1)[..., None]:  # (v0 * prefix, v1 * prefix)
-            prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
-        amps = prefixes.pop().reshape(b, -1)
-        if not block_pairs:
-            return v, prefixes, (), (), amps
-        flat = amps.reshape(-1)
-        # stored (B, 2, 2, K), so a gate's 2x2 has the strides of a single row's
-        rotations = trig.take(self._tail_trig, axis=1) * _ROTATION_SIGN
-        rotations = rotations.transpose(3, 0, 1, 2)
+        ones, size, head, shapes, steps, final = self._forward_tables(b)
+        trig, v, prefixes, last = self._layer(rows, init, ones)
+        if not steps:
+            return v, prefixes, (), (), (last * prefixes[-1]).reshape(b, -1)
+        tape = np.empty(size)
+        np.multiply(last, prefixes[-1], tape[:head].reshape(b, 2, -1))
+        views = [*map(tape.reshape, shapes)]
+        rotations = self._rotations(trig)
         outputs = []
-        for rot, pairs in zip(rotations, block_pairs):
-            out = rot @ flat.take(pairs)
-            flat[pairs] = out
+        for rot, (_, kind, j, source) in zip(rotations, steps):
+            out = views[kind][j]
+            np.matmul(rot, tape.take(source), out)
             outputs.append(out)
-        return v, prefixes, rotations, outputs, amps
+        return v, prefixes, rotations, outputs, tape.take(final)
 
     def run(self, rows: np.ndarray, init: InitKind) -> np.ndarray:
-        """The bound circuit on a (B, P) block of parameter rows: (B, 2^n) amplitudes."""
-        return self.forward(rows, init)[4]
+        """The bound circuit on a (B, P) block of parameter rows: (B, 2^n)
+        amplitudes, bitwise ``forward``'s.
+
+        The streaming pass: each tail gate gathers its pairs, rotates them
+        and scatters them back into the state, and nothing is kept, so a
+        program run once builds no tape tables.
+        """
+        b = len(rows)
+        ones, block_pairs = self._block(b)
+        trig, _, prefixes, last = self._layer(rows, init, ones)
+        amps = (last * prefixes[-1]).reshape(b, -1)
+        if block_pairs:
+            flat = amps.reshape(-1)
+            for rot, pairs in zip(self._rotations(trig), block_pairs):
+                flat[pairs] = rot @ flat.take(pairs)
+        return amps
 
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit applied to the initial product state."""
@@ -258,9 +367,12 @@ class Program:
         so its term is lam . Ry(pi) psi taken just after the gate (control
         bit 1 only for a controlled rotation).  The forward pass kept psi
         just after each gate on the gate's pairs, so the sweep carries lam
-        alone, undoing one gate on it per step.  The leading layer's terms
-        come from contracting lam with the product state from the top qubit
-        down.
+        alone, undoing one gate on it per step.  It runs on a tape of its
+        own, as ``forward`` does: lam, then each gate's undone pairs, read
+        back through reverse source tables built on the first gradient, so
+        no step scatters; the tape holds 2^n + sum(2m) doubles for the call.
+        The leading layer's terms come from contracting lam with the
+        product state from the top qubit down.
 
         ``forward`` is a (pass, row) pair: row ``row`` of a ``forward`` pass
         whose rows included ``params``; the pass is only read.  A row has
@@ -271,13 +383,21 @@ class Program:
             forward = self.forward(params[None], init), 0
         (v, prefixes, rotations, outputs, psi), row = forward
         v = v[row]
-        lam = diag * psi[row]
         grad = [0.0] * params.size
-        for k in range(len(self.tail_pairs) - 1, -1, -1):
-            pairs = self.tail_pairs[k]
-            a, l = outputs[k][row], lam.take(pairs)
-            grad[self._tail_ids[k]] += l[1] @ a[0] - l[0] @ a[1]
-            lam[pairs] = rotations[k, row].T @ l
+        if outputs:
+            if self._reverse is None:
+                self._reverse = self._tape_tables((), range(len(outputs) - 1, -1, -1))
+            size, head, shapes, steps, final = self._reverse
+            tape = np.empty(size)
+            np.multiply(diag, psi[row], tape[:head])
+            views = [*map(tape.reshape, shapes)]
+            for k, kind, j, source in steps:
+                a, l = outputs[k][row], tape.take(source)
+                grad[self._tail_ids[k]] += l[1] @ a[0] - l[0] @ a[1]
+                np.matmul(rotations[k, row].T, l, views[kind][j])
+            lam = tape.take(final)
+        else:
+            lam = diag * psi[row]
         rest = lam  # lam contracted with the layer states of qubits above q
         v0, v1 = v.tolist()
         for q in range(self.n - 1, -1, -1):

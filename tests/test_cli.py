@@ -291,11 +291,15 @@ def test_outputs_match_their_recorded_hashes(case, tmp_path, monkeypatch, capsys
       "plus", "--max-evals", "300", "--restarts", "0"],
      "gamma=7/3\ninit=plus\ninstance=mini4.pit\nmax_evals=300\n"
      "mode=compare-optimizers\nrestarts=0\nseed=0\n"),
-], ids=["oracle", "solve", "compare-optimizers"])
+    # a bundled instance by name, with no file of that name here: the name as
+    # given, not the installed package's path
+    (["oracle", "--instance", "mini4"], "gamma=5/3\ninstance=mini4\nmode=oracle\n"),
+], ids=["oracle", "solve", "compare-optimizers", "bundled"])
 def test_run_meta_records_the_resolved_settings(argv, want, tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)
-    shutil.copy(bundled_instance_path("mini4"), "mini4.pit")
+    if "mini4.pit" in argv:
+        shutil.copy(bundled_instance_path("mini4"), "mini4.pit")
     assert main([*argv, "--out", "out"]) == 0
     capsys.readouterr()
     assert (tmp_path / "out" / "run.meta").read_text() == want

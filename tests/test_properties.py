@@ -1,9 +1,11 @@
 """Property tests: the compiled engine and its adjoint gradient against the
 gate-by-gate kernels, central differences and a long-double adjoint, the
 evaluation budget, blocks of rows against single runs, block costs against a
-dot per row, gradients from a kept forward pass against fresh ones and on
-Python floats against numpy scalars, block line searches against plain
-callables, the cost tables against per-bitstring sums, the marginals and the
+dot per row, taped forward passes against the scatter loop and the streaming
+run, passes of one program against shared memory, gradients from a kept
+forward pass against fresh ones and on Python floats against numpy scalars,
+block line searches against plain callables, the cost tables against
+per-bitstring sums, the marginals and the
 product distribution against index-mask loops, per-qubit copies and
 half-index tables, the distribution CSV against Python's per-row format, the
 compiled gates' index pairs against per-gate masks, and the sum-constraint
@@ -283,6 +285,64 @@ def test_gradient_from_a_kept_row_equals_a_fresh_gradient_bitwise(data, circuit,
     # the kept pass is only read
     assert [out.tobytes() for out in forward[3]] == [out.tobytes() for out in outputs]
     assert forward[4].tobytes() == amps.tobytes()
+
+
+def _outputs_by_scatters(program, v, prefixes, rotations):
+    """A pass's gate outputs and amplitudes as the in-place loop computes
+    them: each gate gathers its pairs from the state, rotates them and
+    scatters them back."""
+    b = len(v)
+    amps = (v[:, :, -1, None] * prefixes[-1]).reshape(b, -1)
+    flat = amps.reshape(-1)
+    offsets = (np.arange(b) << program.n)[:, None, None]
+    outputs = []
+    for rot, pairs in zip(rotations, program.tail_pairs):
+        pairs = pairs + offsets
+        outputs.append(rot @ flat.take(pairs))
+        flat[pairs] = outputs[-1]
+    return outputs, amps
+
+
+@pytest.mark.parametrize("init", list(InitKind))
+@pytest.mark.parametrize("rows", [1, 5])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), circuit=st.one_of(hand_circuits(), lattices().map(build_circuit)))
+def test_taped_pass_matches_the_scatter_loop_bitwise(data, circuit, init, rows):
+    block = data.draw(arrays(np.float64, (rows, circuit.param_count),
+                             elements=st.floats(-np.pi, np.pi)))
+    program = circuit.program
+    v, prefixes, rotations, outputs, amps = program.forward(block, init)
+    assert amps.tobytes() == program.run(block, init).tobytes()
+    want, want_amps = _outputs_by_scatters(program, v, prefixes, rotations)
+    assert amps.tobytes() == want_amps.tobytes()
+    assert len(outputs) == len(want) == len(program.tail_pairs)
+    for got, ref in zip(outputs, want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_passes_of_one_program_share_no_memory():
+    # Ry and CRy gates in the tail, so the tape holds a block of each kind
+    circuit = ParamCircuit(5, (ControlledRy(0, 1, 0), SingleRy(2, 1), SingleRy(1, 2),
+                               ControlledRy(1, 3, 3), SingleRy(3, 4), ControlledRy(4, 0, 5),
+                               SingleRy(4, 6)))
+    program, init = circuit.program, InitKind.SUPERPOSITION
+    rng = np.random.default_rng(5)
+    rows_a, rows_b = rng.uniform(-np.pi, np.pi, (2, 3, circuit.param_count))
+    diag = rng.normal(size=1 << circuit.n)
+    a, b = program.forward(rows_a, init), program.forward(rows_b, init)
+
+    def kept(pass_):  # the tape, the gate outputs in it and the amplitudes
+        return [pass_[3][0].base, *pass_[3], pass_[4]]
+
+    assert len(a[3]) == 6 and a[3][0].base is not None
+    for x in kept(a):
+        for y in kept(b):
+            assert not np.shares_memory(x, y)
+    saved = [[x.tobytes() for x in kept(p)] for p in (a, b)]
+    first = program.gradient(rows_a[1], diag, init, (a, 1))
+    program.gradient(rows_b[1], diag, init, (b, 1))
+    assert program.gradient(rows_a[1], diag, init, (a, 1)).tobytes() == first.tobytes()
+    assert [[x.tobytes() for x in kept(p)] for p in (a, b)] == saved
 
 
 @settings(max_examples=150, deadline=None)
