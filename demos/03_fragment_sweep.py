@@ -4,6 +4,14 @@ Cuts the graded 12-block pit into one fragment per row. Each sweep gives
 every fragment one optimizer iteration against the frozen mean fields of the
 others, then refreshes the fields; the summed per-fragment negative costs
 climb to the maximum profit.
+
+A row fragment has no parent-child pair inside it, so its circuit is one Ry
+per qubit: a product state, whose cost, gradient and mean fields the sweep
+takes in closed form, with no statevector. Summed over the rows, the energy
+is the multilinear extension of the pit cost C(z) at the excavation
+probabilities, so this sweep is block coordinate descent on that extension,
+a classical naive mean field. Entanglement enters only in fragments that
+keep a pair inside, such as 2x2 tiles.
 """
 
 from fractions import Fraction

@@ -5,6 +5,18 @@ small variational circuit, and parent-child pairs severed by the cut enter
 the fragment's effective cost through the mean <Z> value of the out-of-
 fragment block.  A sweep performs one optimizer iteration per fragment and
 updates the mean fields, repeated to self-consistency.
+
+Entanglement enters only in fragments with intra pairs, whose circuits carry
+controlled rotations; they run on statevectors.  A fragment without one is
+one Ry per qubit, a product state, and its effective cost is affine in the
+bits, so ``ProductObjective`` gives its cost, gradient and mean fields in
+closed form, with no 2^size vector.  Every row fragment is one, since a
+parent is always one row up.  With every fragment a product state, the
+mean-field energy is the multilinear extension of the cost C(z), taken at
+the excavation probabilities, so a horizontal sweep is block coordinate
+descent on that extension: a classical naive mean field, which exercises no
+entanglement.  Entangled fragments, such as 2x2 tiles of the paper's
+4-qubit shape, are what the quantum circuits add.
 """
 
 from __future__ import annotations
@@ -19,8 +31,10 @@ import numpy as np
 from .ansatz import ParamCircuit, build_circuit, prepare
 from .hamiltonian import QUBIT_CAP
 from .lattice import PitLattice, content_lines
-from .simulator import InitKind, StateVector, excavation_probabilities, probabilities
-from .vqe import DescentState, Objective, Optimizer
+from .simulator import (
+    _INIT_MATRIX, InitKind, StateVector, excavation_probabilities, probabilities,
+)
+from .vqe import DescentState, Objective, Optimizer, _row_costs
 
 INIT_PARAM_RANGE = (0.0, np.pi / 10)  # initial parameters drawn uniformly
 BOUNDS = (0.0, np.pi)  # box bounds on every fragment parameter
@@ -240,6 +254,107 @@ def total_energy(
     return total
 
 
+class ProductObjective:
+    """A fragment without intra pairs as ``Objective`` sees it, in closed form.
+
+    Such a fragment's circuit is one Ry per qubit, so its state is a product
+    state, and its effective cost is affine in the bits: C(z) = d0 +
+    sum_i c_i z_i.  For the init's single-qubit state (u0, u1) = (cos phi,
+    sin phi), qubit i is 1 with amplitude a_i = u1 cos(t_i/2) + u0 sin(t_i/2),
+    taken as the statevector's leading layer takes it, so the cost is d0 +
+    sum_i c_i a_i^2, the mean field <Z_i> = 1 - 2 a_i^2 and the gradient
+    c_i a_i (u0 cos(t_i/2) - u1 sin(t_i/2)) = c_i sin(t_i + 2 phi) / 2: no
+    2^size vector until ``state``.
+
+    c and d0 are affine in the mean fields of the severed pairs: pair k's
+    coefficient gamma (1 + s_k <Z>) / 2, ``effective_diagonal``'s, enters c
+    with sign s_k at the pair's end inside the fragment (+1 for a
+    child_in pair's child, -1 for a child_out pair's parent), and d0 for a
+    child_out pair.  So (c, d0) is a constant plus a (size + 1, pairs)
+    matrix times those fields, both built once.  ``values``, ``record``,
+    ``__call__`` and ``gradient`` are ``Objective``'s; each block row's cost
+    is taken by ``_row_costs``'s ddot and a call is a block of one, so both
+    agree bitwise.
+    """
+
+    def __init__(self, fp: FragmentProblem, gamma: float, init: InitKind):
+        self.fp, self.init, self.n = fp, init, fp.size
+        (self._u0, _), (self._u1, _) = _INIT_MATRIX[init].tolist()
+        self._twice_phase = 2.0 * np.arctan2(self._u1, self._u0)
+        pairs, n_in = len(fp.field_index), len(fp.child_in_pairs)
+        ends = [fp.local(i) for i, _ in fp.child_in_pairs]
+        ends += [fp.local(j) for _, j in fp.child_out_pairs]
+        signed = np.zeros((fp.size + 1, pairs))  # rows: c, then d0
+        signed[ends, np.arange(pairs)] = fp.field_sign
+        signed[-1, n_in:] = 1.0
+        half, profit = gamma / 2.0, -np.array(fp.profits, dtype=float)
+        weights = half * signed * fp.field_sign
+        self._fields = np.append(profit, 0.0) + half * signed.sum(axis=1), weights
+        # the trace books child_in pairs only, and so has no d0
+        self._trace_fields = (profit + half * signed[:-1, :n_in].sum(axis=1),
+                              weights[:-1, :n_in].copy(), fp.field_index[:n_in])
+        self.c, self.d0 = profit, 0.0
+
+    def set_fields(self, mean_z: np.ndarray) -> None:
+        base, weights = self._fields
+        cost = base + weights @ mean_z.take(self.fp.field_index)
+        self.c, self.d0 = cost[:-1], float(cost[-1])
+
+    def _excavated(self, params: np.ndarray) -> np.ndarray:
+        """a_i per qubit, for one parameter row or a block of them."""
+        half = params / 2.0
+        return self._u1 * np.cos(half) + self._u0 * np.sin(half)
+
+    def values(self, rows: np.ndarray) -> list[float]:
+        d0 = self.d0
+        return [v + d0 for v in _row_costs(self._excavated(rows), self.c)]
+
+    def record(self, params: np.ndarray, value: float) -> float:
+        return value
+
+    def __call__(self, params: np.ndarray) -> float:
+        return self.record(params, self.values(params[None])[0])
+
+    def gradient(self, params: np.ndarray) -> np.ndarray:
+        return self.c / 2.0 * np.sin(params + self._twice_phase)
+
+    def mean_fields(self, params: np.ndarray) -> np.ndarray:
+        a = self._excavated(params)
+        return 1.0 - 2.0 * (a * a)
+
+    def trace_energy(self, params: np.ndarray, mean_z: np.ndarray) -> float:
+        """``_fragment_energy``: severed pairs on the child's side only."""
+        base, weights, index = self._trace_fields
+        a = self._excavated(params)
+        return float(np.dot(a * a, base + weights @ mean_z.take(index)))
+
+    def state(self, params: np.ndarray) -> StateVector:
+        return prepare(self.fp.circuit, params, self.init)
+
+
+class _StateObjective(Objective):
+    """A fragment with intra pairs: its statevector under the effective
+    diagonal, with ``ProductObjective``'s fragment methods.  Its ``state``
+    is the amplitudes of the point the last step ended at, so the mean
+    fields, the trace row and the final state run no pass of their own."""
+
+    def __init__(self, fp: FragmentProblem, gamma: float, init: InitKind):
+        super().__init__(fp.circuit, None, init)
+        self.fp, self.gamma = fp, gamma
+
+    def set_fields(self, mean_z: np.ndarray) -> None:
+        self.diag = effective_diagonal(self.fp, mean_z, self.gamma)
+
+    def mean_fields(self, params: np.ndarray) -> np.ndarray:
+        return fragment_mean_fields(self.fp, self.state(params))
+
+    def trace_energy(self, params: np.ndarray, mean_z: np.ndarray) -> float:
+        return _fragment_energy(self.fp, self.state(params), mean_z, self.gamma)
+
+    def state(self, params: np.ndarray) -> StateVector:
+        return StateVector(self.n, self.amplitudes(params))
+
+
 @dataclass(frozen=True)
 class ScfConfig:
     init: InitKind = InitKind.SUPERPOSITION
@@ -335,34 +450,29 @@ def scf_run(
         )
         for fp in problems
     ]
-    costs = [Objective(fp.circuit, None, config.init) for fp in problems]
-    states = [
-        prepare(fp.circuit, st.params, config.init)
-        for fp, st in zip(problems, opt_states)
-    ]
+    costs = [(_StateObjective if fp.intra_pairs else ProductObjective)(
+        fp, gamma_f, config.init) for fp in problems]
     mean_z = np.empty(lattice.n)
-    for fp, st in zip(problems, states):
-        mean_z[fp.block_index] = fragment_mean_fields(fp, st)
+    for fp, opt, cost in zip(problems, opt_states, costs):
+        mean_z[fp.block_index] = cost.mean_fields(opt.params)
     traces: list[list[float]] = []
     energy_trace: list[float] = []
     converged = False
     sweep = 0
     while sweep < config.max_sweeps:
         sweep += 1
-        for a, (fp, opt, cost) in enumerate(zip(problems, opt_states, costs)):
-            # the diagonal, and maybe the point, moved since the last step
-            cost.diag = effective_diagonal(fp, mean_z, gamma_f)
+        for fp, opt, cost in zip(problems, opt_states, costs):
+            # the fields, and maybe the point, moved since the last step
+            cost.set_fields(mean_z)
             opt.iterate(cost, cost.gradient, refresh=True)
             if fp.intra_pairs:
                 opt.params = sum_constraint_project(fp.circuit, opt.params)
             opt.params = boundary_kick(opt.params, rng)
-            # the accepted trial's amplitudes, unless projection or kick moved it
-            states[a] = StateVector(fp.size, cost.amplitudes(opt.params))
-            mean_z[fp.block_index] = fragment_mean_fields(fp, states[a])
+            mean_z[fp.block_index] = cost.mean_fields(opt.params)
         # every fragment's mean fields are current, so the trace row holds the
         # total_energy terms: severed pairs booked once, on the child's side
-        traces.append([-_fragment_energy(fp, st, mean_z, gamma_f)
-                       for fp, st in zip(problems, states)])
+        traces.append([-cost.trace_energy(opt.params, mean_z)
+                       for opt, cost in zip(opt_states, costs)])
         energy_trace.append(-sum(traces[-1]))
         if len(energy_trace) >= 3 and (
             abs(energy_trace[-1] - energy_trace[-2]) < TOLERANCE
@@ -370,6 +480,7 @@ def scf_run(
         ):
             converged = True
             break
+    states = [cost.state(opt.params) for opt, cost in zip(opt_states, costs)]
     return ScfResult(
         traces=traces,
         energy_trace=energy_trace,

@@ -208,27 +208,27 @@ DECOMPOSE_STEP9 = ["decompose", "--instance", "step9.pit", "--gamma", "8/3",
 # SHA-256 of every file a run writes, and of its stdout.
 GOLDEN = {
     "decompose-step9-rows": (DECOMPOSE_STEP9, {
-        "distribution.csv": "778dadc9b230d6c7d4c22b238bfaf5b09b8bc7424c6e9c53e11c54db1bf131b4",
-        "fragments.csv": "ab8aa787520cdaf77428496b2bcbf9d34ab6aa268be62d35264ff5a953b1a0f7",
+        "distribution.csv": "5000bff13c8696079f1333f6acfba92725e9671b9ff7487416c2ae3d3f82817c",
+        "fragments.csv": "504988165dfc0ae73c33a152a51031b4d7dfc54fafca43501080b09f4643f58a",
         "run.meta": "603982b950f650ea1fbc7be33da4d90ef3ef337c9e1ad5c9172d84d99ce68c87",
         "stdout": "78ba6d3b1af614991e5bfdbde29d4f4bdfaa58073b1f6fae930edac6a4a17588",
     }),
     "decompose-step9-columns": ([*DECOMPOSE_STEP9, "--partition", "columns.txt"], {
-        "distribution.csv": "7b7b81a9c8ea26df211043614bb02e0f7602f80445f563cd857e9ddf131df493",
+        "distribution.csv": "6c295d0c7cba56e3ed9ca9d6f2ef1a4c32eac7ce93210770546571b7c473eb1b",
         "fragments.csv": "94af5768dd36fdcd0f9edd264b2a23c0bf82c364abf73c6eaed9a60a7476ebf6",
         "run.meta": "08bbc0be4cdcf97040fa8ea98d61dca6c9a819c8990d5897d3f55b6a7eaec7e5",
         "stdout": "2ca1c42fb15f311d551f10b65e0378933b43949f740b0d80ba3d6db471c8d43b",
     }),
     "decompose-step9-qnb-rows": ([*DECOMPOSE_STEP9, "--optimizer", "qnb"], {
-        "distribution.csv": "8471eabb76bd4a95aeb635a2b844bb4af3bd66ad8e8bbce4f588b3c1320473f8",
-        "fragments.csv": "f9281ff6ac985e9f18b0affdde44465782514434ddfd6a8b19fbb7939ad1ee16",
+        "distribution.csv": "dd13a7f13dfb03636cb64c95a8e1c47a1795f58eb590e85995d163158972da1b",
+        "fragments.csv": "3bff9484f12ceb6da21b5fe42431acefcdd8cd9d57da5c52021cf305d5d96a0b",
         "run.meta": "9b606bbed8a68c69513925bcea0a65cf69778b2df49325dc44f81b92adcd8cfd",
         "stdout": "729d630fb851b29a0cf9b3011842df9f7b2bf106ac095f93e19b1a02f2623f44",
     }),
     "decompose-step9-qnb-columns": (
         [*DECOMPOSE_STEP9, "--optimizer", "qnb", "--partition", "columns.txt"], {
             "distribution.csv":
-                "7303040861d78eb7235e19b9db9b8768a468c59c71515bfde2a371d541033498",
+                "707dd217198513bbf5bad45dc5feebefe397177998fb7a145627f5657b4cb5de",
             "fragments.csv": "3a7487a5c787b8574c0b642dca41ce3798bcdfd43c5af9b7899cda570b4e9e71",
             "run.meta": "03141a0ef9289cb6b233f6bd479b24577b89f38266c8a2cf8f81498bc4cc532c",
             "stdout": "9357d384396f279f0f114687505467702ad787cf164e3eef5fa28cf110204554",
