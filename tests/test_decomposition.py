@@ -213,7 +213,7 @@ def test_energy_trace_is_total_energy_of_final_states(cut):
     if cut == "rows":
         # row fragments have no intra pair, so the sweep's energy is the
         # closed form, which sums in another order than the statevectors'
-        # 2^k terms: 2.3e-14 apart here, against an energy of about 16
+        # 2^k terms: 2.1e-14 apart here, against an energy of about 16
         assert result.energy_trace[-1] == pytest.approx(want, rel=0, abs=1e-12)
     else:
         assert result.energy_trace[-1] == want

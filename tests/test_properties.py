@@ -578,21 +578,18 @@ def test_scf_with_a_plain_objective_matches_the_block_run(lattice, gamma, init,
         s.amps.tobytes() for s in want.final_states]
 
 
-def _product_fragments(data, lattice):
-    """The fragments without intra pairs of a horizontal or a random cut."""
+def _product_setup(data, lattice, gamma, init):
+    """Per fragment without intra pairs of a horizontal or a random cut: (fp,
+    closed form, statevector objective, mean fields, parameters in BOUNDS)."""
     if data.draw(st.booleans()):
         partition = partition_horizontal(lattice)
     else:
         partition = _random_partition(data, lattice)
-    return [fp for fp in build_fragment_problems(lattice, partition) if not fp.intra_pairs]
-
-
-def _product_setup(data, lattice, gamma, init):
-    """Per product fragment: (fp, closed form, statevector objective, mean
-    fields, parameters in BOUNDS)."""
     mf = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=lattice.n,
                                      max_size=lattice.n)))
-    for fp in _product_fragments(data, lattice):
+    for fp in build_fragment_problems(lattice, partition):
+        if fp.intra_pairs:
+            continue
         closed = ProductObjective(fp, float(gamma), init)
         closed.set_fields(mf)
         dense = Objective(fp.circuit, effective_diagonal(fp, mf, float(gamma)), init)
