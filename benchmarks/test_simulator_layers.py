@@ -12,9 +12,9 @@ so it times the reverse sweep alone.
 The first calls on a new program are timed apart, on stringer12 and the
 band: compiling the circuit plus its first ``forward``, which builds that
 block size's tape tables, and the first ``gradient``, which builds the
-reverse tables.  A one-row ``run`` on an 11-block lattice (rows of 4, 4 and
-3 blocks, shots_mitigate's largest shape) times the streaming pass a
-circuit run once takes.
+reverse tables.  ``amplitudes`` on an 11-block lattice (rows of 4, 4 and 3
+blocks, shots_mitigate's largest shape) times the streaming pass a circuit
+run once takes, the pairs it builds for the call included.
 
     python -m pytest benchmarks                        # time every case
     python -m pytest benchmarks --benchmark-disable    # run each case once
@@ -97,6 +97,6 @@ def test_run_one_row_on_eleven_blocks(benchmark):
     lattice = make_lattice([[(c, w) for c, w in enumerate(profits)]
                             for profits in ((-2, -1, -2, -3), (1, 4, 2, -1), (3, 6, 2))])
     circuit = build_circuit(lattice)
-    params = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, (1, circuit.param_count))
-    amps = benchmark(circuit.program.run, params, InitKind.ALL_ZERO)
-    assert lattice.n == 11 and amps.shape == (1, 1 << 11)
+    params = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, circuit.param_count)
+    amps = benchmark(circuit.program.amplitudes, params, InitKind.ALL_ZERO)
+    assert lattice.n == 11 and amps.shape == (1 << 11,)

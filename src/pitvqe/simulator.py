@@ -5,16 +5,17 @@ real throughout; basis index bit i is z_i with qubit 0 least significant.
 
 ``apply_ry`` and ``apply_cry`` act gate by gate on a ``StateVector``.  A whole
 circuit runs as a ``Program``: its leading Ry layer is built directly as a
-product state, and the remaining gates act through index pairs computed once
-per program.  A program runs a block of parameter rows at once, each row
-bitwise as it runs alone, in one of two passes.  ``run`` streams: each gate
-gathers its pairs, rotates them and scatters them back into the state.
-``forward`` keeps what the gradient reads: its pass writes a tape, the
-product state and then every gate's output in a slot of its own, and each
-gate gathers its input through a source table, the tape position of each
-amplitude's latest value, so no gate scatters.  The exact gradient is a
-reverse sweep on a tape of its own that reads the state from the gate
-outputs a forward pass kept, which can be a row of a pass already run.
+product state, and the remaining gates act through index pairs, in one of
+two passes.  ``amplitudes`` streams one parameter row: it builds the pairs
+for the call, and each gate gathers its pairs, rotates them and scatters
+them back into the state, so a one-off program keeps nothing.  ``forward``
+runs a block of rows, each bitwise as ``amplitudes`` runs it, and keeps
+what the gradient reads: its pass writes a tape, the product state and then
+every gate's output in a slot of its own, and each gate gathers its input
+through a source table, the tape position of each amplitude's latest value,
+so no gate scatters.  The exact gradient is a reverse sweep on a tape of its
+own that reads the state from the gate outputs a forward pass kept, which
+can be a row of a pass already run.
 """
 
 from __future__ import annotations
@@ -166,17 +167,20 @@ class Program:
     ``layer_param[q]`` is the parameter of the leading Ry on qubit q, or -1
     where the qubit has none; that layer acts on the initial product state and
     is built as a product state.  The remaining gates form the tail, in
-    circuit order: gate k has parameter ``tail_param[k]`` and a (2, m) array
-    of basis indices whose columns are the amplitude pairs it rotates (target
-    bit 0 and 1, control bit 1 for a controlled rotation).
+    circuit order: gate k has parameter ``tail_param[k]``, target
+    ``tail_target[k]`` and control ``tail_control[k]`` (-1 for a plain Ry).
+    Its (2, m) pairs, the basis indices it rotates (target bit 0 and 1,
+    control bit 1 for a controlled rotation), are built by ``_tail_pairs``
+    where a pass or a table build needs them.
 
-    The tape tables are built on first use and kept: ``forward``'s per block
-    size B, sum(B 2m) + B 2^n indices over the tail gates, on the block
-    size's first pass, and ``gradient``'s, sum(2m) + 2^n, on the first
-    gradient; a program without a tail builds none.  Each is about one pass
-    of integer work.  At n = 12 a table set takes 0.2 MB for stringer12's 11
-    controlled rotations and 0.35 MB for smooth12's 19; for 20 blocks with 36
-    parent-child pairs, 160 MB.
+    A program keeps only its tape tables, built on first use: ``forward``'s
+    per block size B, sum(B 2m) + B 2^n indices over the tail gates, on the
+    block size's first pass, and ``gradient``'s, sum(2m) + 2^n, on the first
+    gradient; a program without a tail builds none.  Each build makes the
+    pairs once and is about one pass of integer work.  At n = 12 a table set
+    takes 0.2 MB for stringer12's 11 controlled rotations and 0.35 MB for
+    smooth12's 19; for 20 blocks with 36 parent-child pairs, 152 MiB, and
+    the pairs the build holds while it runs another 144 MiB.
     """
 
     def __init__(
@@ -203,25 +207,10 @@ class Program:
                 _check_qubit(n, target)
             else:
                 _check_pair(n, control, target)
-        self.tail_pairs = _tail_pairs(n, np.asarray(tail_control, dtype=np.intp),
-                                      np.asarray(tail_target, dtype=np.intp))
-        self._blocks: dict[int, tuple] = {}  # run's pairs per block size
+        self.tail_control = np.asarray(tail_control, dtype=np.intp)
+        self.tail_target = np.asarray(tail_target, dtype=np.intp)
         self._tables: dict[int, tuple] = {}  # forward's tape tables per block size
         self._reverse = None  # the gradient's tape tables, built on first use
-
-    def _block(self, b: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Per block size ``b``: the (b, 1, 1) ones that start the product
-        state, read-only, and each tail gate's (b, 2, m) pairs into ``b``
-        rows laid end to end, as ``run`` scatters them."""
-        block = self._blocks.get(b)
-        if block is None:
-            if b == 1:  # a block of one row reads the gates' own pairs
-                pairs = [p[None] for p in self.tail_pairs]
-            else:
-                offsets = (np.arange(b) << self.n)[:, None, None]
-                pairs = [p + offsets for p in self.tail_pairs]
-            block = self._blocks[b] = _ones(b), pairs
-        return block
 
     def _tape_tables(self, lead: tuple, order) -> tuple:
         """The tape layout and tables of a sweep over states of leading shape
@@ -233,36 +222,36 @@ class Program:
         is aligned to its size and the tape padded to a whole number of the
         largest, so the tape reshaped to (-1, *lead, 2, m) holds a gate's
         output as the integer-index view ``view[j]``.  The tables come from
-        simulating the sweep's writes on the tape positions of the states: a
-        gate's source table takes the latest position of each amplitude on
-        its pairs, then its slot becomes their latest.  Returns (size, head,
+        replaying the sweep's writes on tape positions, starting from the
+        states' ``arange``: a gate's source table takes the latest position
+        of each amplitude on its pairs, built once for the call, then its
+        slot's own ``arange`` becomes their latest.  Returns (size, head,
         shapes, steps, final): the tape's length, the states' length, each
         kind's view shape, per gate in ``order`` its (gate, kind, slot,
         source table), and the latest position of every amplitude once the
         sweep ends.  Without a tail there is no tape, and no steps.
         """
-        if not self.tail_pairs:
+        pairs = _tail_pairs(self.n, self.tail_control, self.tail_target)
+        if not pairs:
             return 0, 0, [], [], None
         count = int(np.prod(lead, dtype=int))
         size = head = count << self.n
-        widths = sorted({p.shape[1] for p in self.tail_pairs}, reverse=True)
+        widths = sorted({p.shape[1] for p in pairs}, reverse=True)
         place = {}
         for kind, width in enumerate(widths):
-            for k, pairs in enumerate(self.tail_pairs):
-                if pairs.shape[1] == width:
-                    place[k] = kind, size // (2 * count * width)
+            for k, p in enumerate(pairs):
+                if p.shape[1] == width:
+                    place[k] = kind, size
                     size += 2 * count * width
         size += -size % (2 * count * widths[0])
         shapes = [(-1, *lead, 2, width) for width in widths]
-        position = np.arange(size)
-        views = [position.reshape(shape) for shape in shapes]
-        latest = position[:head].reshape(*lead, -1).copy()
+        latest = np.arange(head).reshape(*lead, -1)
         steps = []
         for k in order:
-            kind, j = place[k]
-            pairs = self.tail_pairs[k]
-            steps.append((k, kind, j, latest.take(pairs, axis=-1)))
-            latest[..., pairs] = views[kind][j]
+            kind, start = place[k]
+            slot = np.arange(start, start + 2 * count * widths[kind]).reshape(shapes[kind][1:])
+            steps.append((k, kind, start // slot.size, latest.take(pairs[k], axis=-1)))
+            latest[..., pairs[k]] = slot
         return size, head, shapes, steps, latest
 
     def _forward_tables(self, b: int) -> tuple:
@@ -271,7 +260,7 @@ class Program:
         tables = self._tables.get(b)
         if tables is None:
             tables = self._tables[b] = (
-                _ones(b), *self._tape_tables((b,), range(len(self.tail_pairs))))
+                _ones(b), *self._tape_tables((b,), range(len(self.tail_param))))
         return tables
 
     def _layer(self, rows: np.ndarray, init: InitKind, ones: np.ndarray) -> tuple:
@@ -337,27 +326,21 @@ class Program:
             outputs.append(out)
         return v, prefixes, rotations, outputs, tape.take(final)
 
-    def run(self, rows: np.ndarray, init: InitKind) -> np.ndarray:
-        """The bound circuit on a (B, P) block of parameter rows: (B, 2^n)
-        amplitudes, bitwise ``forward``'s.
-
-        The streaming pass: each tail gate gathers its pairs, rotates them
-        and scatters them back into the state, and nothing is kept, so a
-        program run once builds no tape tables.
-        """
-        b = len(rows)
-        ones, block_pairs = self._block(b)
-        trig, _, prefixes, last = self._layer(rows, init, ones)
-        amps = (last * prefixes[-1]).reshape(b, -1)
-        if block_pairs:
-            flat = amps.reshape(-1)
-            for rot, pairs in zip(self._rotations(trig), block_pairs):
-                flat[pairs] = rot @ flat.take(pairs)
-        return amps
-
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
-        """The bound circuit applied to the initial product state."""
-        return self.run(params[None], init)[0]
+        """The bound circuit applied to the initial product state: (2^n,)
+        amplitudes, bitwise a ``forward`` row's.
+
+        The streaming pass: the tail gates' pairs are built for the call,
+        and each gate gathers its pairs, rotates them and scatters them back
+        into the state, so a program run once builds no tape tables.
+        """
+        trig, _, prefixes, last = self._layer(params[None], init, _ones(1))
+        amps = (last * prefixes[-1]).reshape(-1)
+        for rot, pairs in zip(self._rotations(trig),
+                              _tail_pairs(self.n, self.tail_control, self.tail_target)):
+            pairs = pairs[None]
+            amps[pairs] = rot @ amps.take(pairs)
+        return amps
 
     def gradient(self, params: np.ndarray, diag: np.ndarray, init: InitKind,
                  forward=None) -> np.ndarray:

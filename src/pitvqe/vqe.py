@@ -22,7 +22,8 @@ except ImportError:  # numpy < 2
 from .ansatz import ParamCircuit, prepare
 from .hamiltonian import DiagonalCost
 from .oracle import OracleResult, p_opt
-from .simulator import InitKind, excavation_probabilities, expect_diagonal, probabilities
+from .simulator import (InitKind, StateVector, excavation_probabilities, expect_diagonal,
+                         probabilities)
 
 
 class Optimizer(Enum):
@@ -431,7 +432,8 @@ def run(circuit: ParamCircuit, h: DiagonalCost, config: VqeConfig) -> VqeResult:
             )
     except _BudgetExhausted:
         pass
-    dist = probabilities(prepare(circuit, f.best_params, config.init))
+    # the best point from the solve's own passes and the forward tables they built
+    dist = probabilities(StateVector(circuit.n, f.amplitudes(f.best_params)))
     return VqeResult(
         best_params=f.best_params,
         history=f.history,

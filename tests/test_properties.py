@@ -1,16 +1,16 @@
 """Property tests: the compiled engine and its adjoint gradient against the
 gate-by-gate kernels, central differences and a long-double adjoint, the
-evaluation budget, blocks of rows against single runs, block costs against a
-dot per row, taped forward passes against the scatter loop and the streaming
-run, passes of one program against shared memory, gradients from a kept
-forward pass against fresh ones and on Python floats against numpy scalars,
-block line searches against plain callables, the closed-form objective of
-fragments without intra pairs against the statevector objective, central
-differences and single calls, the cost tables against
-per-bitstring sums, the marginals and the
-product distribution against index-mask loops, per-qubit copies and
-half-index tables, the distribution CSV against Python's per-row format, the
-compiled gates' index pairs against per-gate masks, and the sum-constraint
+evaluation budget, the rows of a forward block against each row's streaming
+``amplitudes``, block costs against a dot per row, taped forward passes
+against the scatter loop, passes of one program against shared memory,
+gradients from a kept forward pass against fresh ones and on Python floats
+against numpy scalars, block line searches against plain callables, the
+closed-form objective of fragments without intra pairs against the
+statevector objective, central differences and single calls, the cost tables
+against per-bitstring sums, the marginals and the product distribution
+against index-mask loops, per-qubit copies and half-index tables, the
+distribution CSV against Python's per-row format, the tail gates' index pairs
+from ``_tail_pairs`` against per-gate masks, and the sum-constraint
 projection against a loop over rotation groups."""
 
 from fractions import Fraction
@@ -42,9 +42,9 @@ from pitvqe.sampling import distribution_to_csv
 from pitvqe.simulator import (
     MARGINAL_TABLE_QUBITS,
     InitKind,
-    Program,
     StateVector,
     _bit_set_indices,
+    _tail_pairs,
     apply_cry,
     apply_ry,
     excavation_probabilities,
@@ -268,7 +268,7 @@ def test_index_table_of_one_block_and_of_an_orphan_row():
 def test_block_rows_equal_single_runs_bitwise(data, circuit, init, rows):
     block = data.draw(arrays(np.float64, (rows, circuit.param_count),
                              elements=st.floats(-np.pi, np.pi)))
-    amps = circuit.program.run(block, init)
+    amps = circuit.program.forward(block, init)[4]
     assert amps.shape == (rows, 1 << circuit.n)
     for row, got in zip(block, amps):
         assert got.tobytes() == prepare(circuit, row, init).amps.tobytes()
@@ -294,6 +294,11 @@ def test_gradient_from_a_kept_row_equals_a_fresh_gradient_bitwise(data, circuit,
     assert forward[4].tobytes() == amps.tobytes()
 
 
+def _pairs_of(program):
+    """The program's tail gates' pairs, as its passes build them."""
+    return _tail_pairs(program.n, program.tail_control, program.tail_target)
+
+
 def _outputs_by_scatters(program, v, prefixes, rotations):
     """A pass's gate outputs and amplitudes as the in-place loop computes
     them: each gate gathers its pairs from the state, rotates them and
@@ -303,7 +308,7 @@ def _outputs_by_scatters(program, v, prefixes, rotations):
     flat = amps.reshape(-1)
     offsets = (np.arange(b) << program.n)[:, None, None]
     outputs = []
-    for rot, pairs in zip(rotations, program.tail_pairs):
+    for rot, pairs in zip(rotations, _pairs_of(program)):
         pairs = pairs + offsets
         outputs.append(rot @ flat.take(pairs))
         flat[pairs] = outputs[-1]
@@ -319,10 +324,9 @@ def test_taped_pass_matches_the_scatter_loop_bitwise(data, circuit, init, rows):
                              elements=st.floats(-np.pi, np.pi)))
     program = circuit.program
     v, prefixes, rotations, outputs, amps = program.forward(block, init)
-    assert amps.tobytes() == program.run(block, init).tobytes()
     want, want_amps = _outputs_by_scatters(program, v, prefixes, rotations)
     assert amps.tobytes() == want_amps.tobytes()
-    assert len(outputs) == len(want) == len(program.tail_pairs)
+    assert len(outputs) == len(want) == len(program.tail_param)
     for got, ref in zip(outputs, want):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -441,8 +445,9 @@ def _gradient_on_numpy_scalars(program, params, diag, init):
     v = v[row]
     lam = diag * psi[row]
     grad = np.zeros(params.size)
-    for k in range(len(program.tail_pairs) - 1, -1, -1):
-        pairs = program.tail_pairs[k]
+    tail_pairs = _pairs_of(program)
+    for k in range(len(tail_pairs) - 1, -1, -1):
+        pairs = tail_pairs[k]
         a, l = outputs[k][row], lam.take(pairs)
         grad[program.tail_param[k]] += l[1] @ a[0] - l[0] @ a[1]
         lam[pairs] = rotations[k, row].T @ l
@@ -790,8 +795,8 @@ def test_pair_tables_match_the_per_gate_masks(n):
                                            if c != t]
     gates = [gates[k] for k in np.random.default_rng(n).permutation(len(gates))]
     control, target = zip(*gates)
-    program = Program(n, [-1] * n, range(len(gates)), control, target)
-    for pairs, (c, t) in zip(program.tail_pairs, gates, strict=True):
+    tail_pairs = _tail_pairs(n, np.array(control), np.array(target))
+    for pairs, (c, t) in zip(tail_pairs, gates, strict=True):
         want = _pairs_by_masks(n, c, t)
         assert (pairs.dtype, pairs.shape) == (want.dtype, want.shape)
         assert pairs.tobytes() == want.tobytes()

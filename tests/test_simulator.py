@@ -1,11 +1,13 @@
 """Statevector engine: gate kernels, expectations, and numerical hygiene."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pitvqe.ansatz import build_circuit
 from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import make_lattice
 from pitvqe.simulator import (
@@ -122,3 +124,17 @@ def test_single_ry_preserves_norm(n, theta):
 def test_probabilities_sum_to_one():
     st_ = apply_ry(init_state(4, InitKind.SUPERPOSITION), 2, 1.234)
     assert probabilities(st_).sum() == pytest.approx(1.0)
+
+
+def test_compiling_a_circuit_at_the_qubit_cap_allocates_no_pairs():
+    # 20 blocks in rows of 7, 6, 4 and 3: 36 parent-child pairs, whose index
+    # pairs would take 144 MiB; a program builds them only in its passes
+    lattice = make_lattice([[(c, 1) for c in range(width)] for width in (7, 6, 4, 3)])
+    assert lattice.n == 20 and len(lattice.pairs()) == 36
+    tracemalloc.start()
+    try:
+        build_circuit(lattice).program
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

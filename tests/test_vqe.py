@@ -10,7 +10,7 @@ from pitvqe.ansatz import build_circuit, prepare
 from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import load_instance, parse_instance
 from pitvqe.oracle import enumerate_lattice, p_opt
-from pitvqe.simulator import InitKind
+from pitvqe.simulator import InitKind, probabilities
 from pitvqe.vqe import (
     DescentState,
     Objective,
@@ -245,3 +245,19 @@ def test_objective_with_a_replaced_diagonal_matches_a_fresh_one(mini4_problem):
     row_amps = f.amplitudes(rows[1].copy())
     f.amplitudes(start + 0.5)  # a new row replaces the block and the last point
     assert f.amplitudes(rows[1].copy()) is not row_amps
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("optimizer", list(Optimizer))
+@pytest.mark.parametrize("name, gamma", [("mini4", Fraction(7, 3)),
+                                         ("stringer12", Fraction(53, 3))])
+def test_final_distribution_equals_a_fresh_run_of_the_best_params(name, gamma, optimizer,
+                                                                  seed):
+    # the solve takes it from its own passes, not from a streaming pass
+    lattice = load_instance(bundled_instance_path(name))
+    circuit, h = build_circuit(lattice), DiagonalCost(lattice, gamma)
+    config = VqeConfig(optimizer=optimizer, seed=seed)
+    result = run(circuit, h, config)
+    fresh = build_circuit(lattice)  # a program of its own, with no pass run
+    want = probabilities(prepare(fresh, result.best_params, config.init))
+    assert result.final_distribution.tobytes() == want.tobytes()
