@@ -10,11 +10,14 @@ pass already run, as a solve takes it at its line search's accepted trial,
 so it times the reverse sweep alone.
 
 The first calls on a new program are timed apart, on stringer12 and the
-band: compiling the circuit plus its first ``forward``, which builds that
-block size's tape tables, and the first ``gradient``, which builds the
-reverse tables.  ``amplitudes`` on an 11-block lattice (rows of 4, 4 and 3
-blocks, shots_mitigate's largest shape) times the streaming pass a circuit
-run once takes, the pairs it builds for the call included.
+band: compiling the circuit plus its first ``forward``, which builds the
+forward tape tables, and the first ``gradient``, which builds the reverse
+tables.  On the band, the first 1-row ``forward`` after a 16-row one is
+timed too: the tables describe one row whatever the block size, so it
+builds none.  ``_tail_pairs`` on smooth12 times the pairs each table build
+and streaming pass makes.  ``amplitudes`` on an 11-block lattice (rows of
+4, 4 and 3 blocks, shots_mitigate's largest shape) times the streaming pass
+a circuit run once takes, the pairs it builds for the call included.
 
     python -m pytest benchmarks                        # time every case
     python -m pytest benchmarks --benchmark-disable    # run each case once
@@ -31,7 +34,7 @@ from pitvqe import bundled_instance_path
 from pitvqe.ansatz import ParamCircuit, build_circuit
 from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import load_instance, make_lattice
-from pitvqe.simulator import InitKind
+from pitvqe.simulator import InitKind, _tail_pairs
 
 BAND = make_lattice([[(0, w)] for w in (-1, 3, -2, 5)])  # one column, four rows
 CASES = {  # name: (lattice, gamma, init, rows per block)
@@ -74,6 +77,27 @@ def test_compile_and_first_forward(benchmark, name):
         return ParamCircuit(circuit.n, circuit.gates).program.forward(rows, init)
 
     assert benchmark(first_forward)[-1].shape == (b, 1 << lattice.n)
+
+
+def test_first_one_row_forward_after_a_block(benchmark):
+    lattice, _, init, b = CASES["band4-b16"]
+    circuit = build_circuit(lattice)
+    rows = np.random.default_rng(lattice.n).uniform(-np.pi, np.pi, (b, circuit.param_count))
+
+    def after_a_block():  # a new program that has run one 16-row pass
+        program = ParamCircuit(circuit.n, circuit.gates).program
+        program.forward(rows, init)
+        return (program, rows[:1], init), {}
+
+    amps = benchmark.pedantic(lambda program, *args: program.forward(*args),
+                              setup=after_a_block, rounds=200)[-1]
+    assert amps.shape == (1, 1 << lattice.n)
+
+
+def test_tail_pairs(benchmark):
+    program = build_circuit(CASES["smooth12"][0]).program
+    pairs = benchmark(_tail_pairs, program.n, program.tail_control, program.tail_target)
+    assert len(pairs) == len(program.tail_param)
 
 
 @pytest.mark.parametrize("name", ["stringer12", "band4-b16"])

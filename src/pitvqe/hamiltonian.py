@@ -75,6 +75,8 @@ def _index_table(lattice: PitLattice) -> tuple[np.ndarray, np.ndarray]:
     where it applies, so no 2^n x n bit matrix is formed.  A few lattices
     stay cached; each pair of 2^20 tables takes 16 MB.
     """
+    from .simulator import _pair_views  # the simulator imports this module
+
     n = lattice.n
     if n > QUBIT_CAP:
         raise ResourceWarning(f"enumeration needs 2^{n} entries (cap {QUBIT_CAP})")
@@ -91,9 +93,10 @@ def _index_table(lattice: PitLattice) -> tuple[np.ndarray, np.ndarray]:
             # z_child (1 - z_parent): the other block's bit picks every other
             # run of its 2^bit indices in the half where z_k makes the term live
             if child == k:  # z_k = 1, parent bit 0
-                s[high].reshape(-1, 2, 1 << parent)[:, 0] += 1
+                live, _ = _pair_views(s[high], -1, parent)
             else:  # parent == k: z_k = 0, child bit 1
-                s[low].reshape(-1, 2, 1 << child)[:, 1] += 1
+                _, live = _pair_views(s[low], -1, child)
+            live += 1
     return p, s
 
 

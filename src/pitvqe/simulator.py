@@ -3,19 +3,20 @@
 Only Y rotations and controlled-Y rotations are supported, so amplitudes stay
 real throughout; basis index bit i is z_i with qubit 0 least significant.
 
-``apply_ry`` and ``apply_cry`` act gate by gate on a ``StateVector``.  A whole
-circuit runs as a ``Program``: its leading Ry layer is built directly as a
-product state, and the remaining gates act through index pairs, in one of
-two passes.  ``amplitudes`` streams one parameter row: it builds the pairs
-for the call, and each gate gathers its pairs, rotates them and scatters
-them back into the state, so a one-off program keeps nothing.  ``forward``
-runs a block of rows, each bitwise as ``amplitudes`` runs it, and keeps
-what the gradient reads: its pass writes a tape, the product state and then
-every gate's output in a slot of its own, and each gate gathers its input
-through a source table, the tape position of each amplitude's latest value,
-so no gate scatters.  The exact gradient is a reverse sweep on a tape of its
-own that reads the state from the gate outputs a forward pass kept, which
-can be a row of a pass already run.
+``_pair_views`` alone defines a gate's pairs, the amplitudes it rotates
+together, as two strided views of a flat vector; ``apply_ry`` and
+``apply_cry`` rotate those views of a ``StateVector``.  A whole circuit runs
+as a ``Program``: its leading Ry layer is built directly as a product state,
+and the remaining gates act through index pairs, the same views of
+``arange(2^n)``, in one of two passes.  ``amplitudes`` streams one parameter
+row: each gate gathers its pairs, rotates them and scatters them back, so a
+one-off program keeps nothing.  ``forward`` runs a block of rows, each
+bitwise as ``amplitudes`` runs it, on a tape with one row per parameter
+row: the product state, then every gate's output in a slot of its own, each
+gate gathering its input through a source table, so no gate scatters.  The
+exact gradient is a reverse sweep on a one-row tape that reads the state
+from a kept forward row.  The tables of both tapes describe one row, so a
+program builds at most two table sets.
 """
 
 from __future__ import annotations
@@ -102,62 +103,51 @@ def _rotate(a0: np.ndarray, a1: np.ndarray, theta: float) -> None:
     a1 += s * old0
 
 
+def _pair_views(x: np.ndarray, control: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """A gate's pairs as two strided views of a flat 2^n vector: the entries
+    with target bit 0, then those with target bit 1, each in ascending index
+    order, and with control bit 1 unless ``control`` is -1 (a plain Ry)."""
+    if control < 0:
+        view = x.reshape(-1, 2, 1 << target)
+        return view[:, 0], view[:, 1]
+    hi, lo = max(control, target), min(control, target)
+    view = x.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)  # bits hi, lo
+    if control == hi:
+        return view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, 0, :, 1], view[:, 1, :, 1]
+
+
 def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
     """In-place Ry(theta) = [[c, -s], [s, c]] on one qubit, c=cos(theta/2)."""
     _check_qubit(state.n, qubit)
-    view = state.amps.reshape(-1, 2, 1 << qubit)
-    _rotate(view[:, 0], view[:, 1], theta)
+    _rotate(*_pair_views(state.amps, -1, qubit), theta)
     return state
 
 
 def apply_cry(state: StateVector, control: int, target: int, theta: float) -> StateVector:
     """In-place Ry(theta) on target restricted to the control=1 subspace."""
     _check_pair(state.n, control, target)
-    hi, lo = max(control, target), min(control, target)
-    view = state.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)  # bits hi, lo
-    if control == hi:
-        _rotate(view[:, 1, :, 0], view[:, 1, :, 1], theta)
-    else:
-        _rotate(view[:, 0, :, 1], view[:, 1, :, 1], theta)
+    _rotate(*_pair_views(state.amps, control, target), theta)
     return state
 
 
-def _insert_zero(x: np.ndarray, bit: np.ndarray) -> np.ndarray:
-    """``x`` with a zero bit inserted at position ``bit``, higher bits moved up."""
-    return (x >> bit << (bit + 1)) | (x & ((1 << bit) - 1))
-
-
-def _ones(b: int) -> np.ndarray:
-    """The read-only (b, 1, 1) ones that start a block's product state."""
-    ones = np.ones((b, 1, 1))
-    ones.setflags(write=False)
-    return ones
-
-
 def _tail_pairs(n: int, control: np.ndarray, target: np.ndarray) -> list[np.ndarray]:
-    """Each gate's (2, m) pairs: the basis indices with target bit 0 (and
-    control bit 1), in ascending order, over the same with target bit 1.
-
-    The free bits of all gates of a kind count up together: inserting the
-    fixed bits into ``arange``, lowest position first, keeps every row
-    ascending.  Each kind's pairs are one (K, 2, m) table, and each gate
-    gets its row as a view.
-    """
-    pairs: list = [None] * len(control)
+    """Each gate's (2, m) pairs, its ``_pair_views`` of ``arange(2^n)``:
+    each kind's pairs are one (K, 2, m) table, filled row by row, and each
+    gate gets its row as a view."""
+    index = np.arange(1 << n)
+    gates = list(zip(control.tolist(), target.tolist()))
+    pairs: list = [None] * len(gates)
     for controlled in (False, True):
-        gates = np.flatnonzero((control >= 0) == controlled)
-        if not gates.size:
+        kind = [k for k, (c, _) in enumerate(gates) if (c >= 0) == controlled]
+        if not kind:
             continue
-        c, t = control[gates, None], target[gates, None]
-        lo = np.arange(1 << (n - 1 - controlled))
-        if controlled:
-            lo = _insert_zero(_insert_zero(lo, np.minimum(c, t)), np.maximum(c, t))
-            lo |= 1 << c
-        else:
-            lo = _insert_zero(lo, t)
-        table = np.stack((lo, lo | (1 << t)), axis=1)
-        for gate, row in zip(gates.tolist(), table):
-            pairs[gate] = row
+        table = np.empty((len(kind), 2, 1 << (n - 1 - controlled)), dtype=index.dtype)
+        for k, row in zip(kind, table):
+            low, high = _pair_views(index, *gates[k])
+            both = row.reshape(2, *low.shape)
+            both[0], both[1] = low, high
+            pairs[k] = row
     return pairs
 
 
@@ -169,18 +159,18 @@ class Program:
     is built as a product state.  The remaining gates form the tail, in
     circuit order: gate k has parameter ``tail_param[k]``, target
     ``tail_target[k]`` and control ``tail_control[k]`` (-1 for a plain Ry).
-    Its (2, m) pairs, the basis indices it rotates (target bit 0 and 1,
-    control bit 1 for a controlled rotation), are built by ``_tail_pairs``
-    where a pass or a table build needs them.
+    Its (2, m) index pairs are built by ``_tail_pairs`` where a pass or a
+    table build needs them.
 
-    A program keeps only its tape tables, built on first use: ``forward``'s
-    per block size B, sum(B 2m) + B 2^n indices over the tail gates, on the
-    block size's first pass, and ``gradient``'s, sum(2m) + 2^n, on the first
-    gradient; a program without a tail builds none.  Each build makes the
-    pairs once and is about one pass of integer work.  At n = 12 a table set
-    takes 0.2 MB for stringer12's 11 controlled rotations and 0.35 MB for
-    smooth12's 19; for 20 blocks with 36 parent-child pairs, 152 MiB, and
-    the pairs the build holds while it runs another 144 MiB.
+    A program keeps only its tape tables, built on first use and laid out
+    for one row, whatever the block size: ``forward``'s on the first pass
+    and ``gradient``'s on the first gradient, each sum(2m) + 2^n indices
+    over the tail gates, so at most two table sets; a program without a
+    tail builds none.  Each build makes the pairs once and is about one
+    pass of integer work.  At n = 12 a table set takes 0.2 MB for
+    stringer12's 11 controlled rotations and 0.35 MB for smooth12's 19; for
+    20 blocks with 36 parent-child pairs, 152 MiB, and the pairs the build
+    holds while it runs another 144 MiB.
     """
 
     def __init__(
@@ -209,61 +199,47 @@ class Program:
                 _check_pair(n, control, target)
         self.tail_control = np.asarray(tail_control, dtype=np.intp)
         self.tail_target = np.asarray(tail_target, dtype=np.intp)
-        self._tables: dict[int, tuple] = {}  # forward's tape tables per block size
-        self._reverse = None  # the gradient's tape tables, built on first use
+        self._forward = self._reverse = None  # the tape tables, built on first use
 
-    def _tape_tables(self, lead: tuple, order) -> tuple:
-        """The tape layout and tables of a sweep over states of leading shape
-        ``lead``, ``(b,)`` or ``()``, visiting the tail gates in ``order``.
+    def _tape_tables(self, order) -> tuple:
+        """The layout and tables of one row of a tape for a sweep that
+        visits the tail gates in ``order``.
 
-        The tape holds the states first, then each tail gate's output in a
-        slot of its own: one block of (*lead, 2, m) slots per kind of gate,
-        the uncontrolled rotations' before the controlled ones'.  Every slot
-        is aligned to its size and the tape padded to a whole number of the
-        largest, so the tape reshaped to (-1, *lead, 2, m) holds a gate's
-        output as the integer-index view ``view[j]``.  The tables come from
-        replaying the sweep's writes on tape positions, starting from the
-        states' ``arange``: a gate's source table takes the latest position
-        of each amplitude on its pairs, built once for the call, then its
-        slot's own ``arange`` becomes their latest.  Returns (size, head,
-        shapes, steps, final): the tape's length, the states' length, each
-        kind's view shape, per gate in ``order`` its (gate, kind, slot,
-        source table), and the latest position of every amplitude once the
-        sweep ends.  Without a tail there is no tape, and no steps.
+        A row holds the state, then each tail gate's output in a slot of its
+        own: one block of (2, m) slots per kind of gate, the uncontrolled
+        rotations' first.  Every slot is aligned to its size and the row
+        padded to a whole number of the largest, so the row reshaped to
+        (-1, 2, m) holds a gate's output as the view ``view[j]``.  The
+        tables replay the sweep's writes on positions, from the state's
+        ``arange``: a gate's source table takes the latest position of each
+        amplitude on its pairs, then its slot's own ``arange`` becomes their
+        latest.  Returns (size, head, shapes, steps, final): the row's and
+        the state's length, each kind's view shape, per gate in ``order``
+        its (gate, kind, slot, source table), and the latest position of
+        every amplitude at the end; without a tail, no tape and no steps.
         """
         pairs = _tail_pairs(self.n, self.tail_control, self.tail_target)
         if not pairs:
             return 0, 0, [], [], None
-        count = int(np.prod(lead, dtype=int))
-        size = head = count << self.n
+        size = head = 1 << self.n
         widths = sorted({p.shape[1] for p in pairs}, reverse=True)
         place = {}
         for kind, width in enumerate(widths):
             for k, p in enumerate(pairs):
                 if p.shape[1] == width:
                     place[k] = kind, size
-                    size += 2 * count * width
-        size += -size % (2 * count * widths[0])
-        shapes = [(-1, *lead, 2, width) for width in widths]
-        latest = np.arange(head).reshape(*lead, -1)
+                    size += 2 * width
+        size += -size % (2 * widths[0])
+        shapes = [(-1, 2, width) for width in widths]
+        latest = np.arange(head)
         steps = []
         for k in order:
             kind, start = place[k]
-            slot = np.arange(start, start + 2 * count * widths[kind]).reshape(shapes[kind][1:])
-            steps.append((k, kind, start // slot.size, latest.take(pairs[k], axis=-1)))
-            latest[..., pairs[k]] = slot
+            steps.append((k, kind, start // pairs[k].size, latest.take(pairs[k])))
+            latest[pairs[k]] = np.arange(start, start + pairs[k].size).reshape(2, -1)
         return size, head, shapes, steps, latest
 
-    def _forward_tables(self, b: int) -> tuple:
-        """Per block size ``b``: the ones that start the product state and
-        the forward tape's (size, head, shapes, steps, final)."""
-        tables = self._tables.get(b)
-        if tables is None:
-            tables = self._tables[b] = (
-                _ones(b), *self._tape_tables((b,), range(len(self.tail_param))))
-        return tables
-
-    def _layer(self, rows: np.ndarray, init: InitKind, ones: np.ndarray) -> tuple:
+    def _layer(self, rows: np.ndarray, init: InitKind) -> tuple:
         """The leading layer on a (B, P) block: (trig, v, prefixes, last),
         where ``trig`` holds each row's (cos, sin) of every half angle, the
         zero angle first, and the caller multiplies ``last``, the top
@@ -275,7 +251,7 @@ class Program:
         trig = np.concatenate((np.cos(half), np.sin(half)), axis=2).reshape(b, -1)
         v = _INIT_MATRIX[init] @ trig.take(self._layer_trig, axis=1)
         *states, last = v.transpose(2, 0, 1)[..., None]
-        prefixes = [ones]
+        prefixes = [np.ones((b, 1, 1))]
         for state in states:  # (v0 * prefix, v1 * prefix)
             prefixes.append((state * prefixes[-1]).reshape(b, 1, -1))
         return trig, v, prefixes, last
@@ -297,34 +273,37 @@ class Program:
         the amplitudes on its pairs just after it (none without a tail), and
         the amplitudes are (B, 2^n).
 
-        The pass writes into a tape of its own, a new flat buffer: the
-        product state, then every gate's output in its own slot.  A gate
-        gathers its input pairs with one ``take`` through its source table,
-        the tape position of each amplitude's latest value, and its 2x2
-        product goes straight into its slot, so no gate scatters; the
-        amplitudes are one last ``take``.  The tables are built on a block
-        size's first pass, about one pass of integer work, and kept.  A kept
-        pass holds B 2^n doubles for the product state, B 2^(n-1) for each
-        controlled rotation and B 2^n for each uncontrolled one, and the
-        tables take as many indices.  Each row goes through the ops, shapes
-        and strides of a block of one, so every row is bitwise what running
-        it alone gives.
+        The pass writes into a tape of its own, a new (B, size) buffer whose
+        rows each have the one-row layout of ``_tape_tables``: the product
+        state, then every gate's output in its own slot.  A gate gathers its
+        input pairs with one ``take`` along the rows through its source
+        table, the tape position of each amplitude's latest value, and its
+        2x2 product goes straight into its slot, so no gate scatters; the
+        amplitudes are one last ``take``.  The tables are built on the first
+        pass, whatever its block size, about one pass of integer work, and
+        kept.  A kept pass holds B 2^n doubles for the product state,
+        B 2^(n-1) for each controlled rotation and B 2^n for each
+        uncontrolled one, and the tables as many indices as one row.
+        Each row goes through the ops, shapes and strides of a block of one,
+        so every row is bitwise what running it alone gives.
         """
         b = len(rows)
-        ones, size, head, shapes, steps, final = self._forward_tables(b)
-        trig, v, prefixes, last = self._layer(rows, init, ones)
+        if self._forward is None:
+            self._forward = self._tape_tables(range(len(self.tail_param)))
+        size, head, shapes, steps, final = self._forward
+        trig, v, prefixes, last = self._layer(rows, init)
         if not steps:
             return v, prefixes, (), (), (last * prefixes[-1]).reshape(b, -1)
-        tape = np.empty(size)
-        np.multiply(last, prefixes[-1], tape[:head].reshape(b, 2, -1))
-        views = [*map(tape.reshape, shapes)]
+        tape = np.empty((b, size))
+        np.multiply(last, prefixes[-1], tape[:, :head].reshape(b, 2, -1))
+        views = [tape.reshape(b, *shape) for shape in shapes]
         rotations = self._rotations(trig)
         outputs = []
         for rot, (_, kind, j, source) in zip(rotations, steps):
-            out = views[kind][j]
-            np.matmul(rot, tape.take(source), out)
+            out = views[kind][:, j]
+            np.matmul(rot, tape.take(source, axis=1), out)
             outputs.append(out)
-        return v, prefixes, rotations, outputs, tape.take(final)
+        return v, prefixes, rotations, outputs, tape.take(final, axis=1)
 
     def amplitudes(self, params: np.ndarray, init: InitKind) -> np.ndarray:
         """The bound circuit applied to the initial product state: (2^n,)
@@ -334,7 +313,7 @@ class Program:
         and each gate gathers its pairs, rotates them and scatters them back
         into the state, so a program run once builds no tape tables.
         """
-        trig, _, prefixes, last = self._layer(params[None], init, _ones(1))
+        trig, _, prefixes, last = self._layer(params[None], init)
         amps = (last * prefixes[-1]).reshape(-1)
         for rot, pairs in zip(self._rotations(trig),
                               _tail_pairs(self.n, self.tail_control, self.tail_target)):
@@ -369,7 +348,7 @@ class Program:
         grad = [0.0] * params.size
         if outputs:
             if self._reverse is None:
-                self._reverse = self._tape_tables((), range(len(outputs) - 1, -1, -1))
+                self._reverse = self._tape_tables(range(len(outputs) - 1, -1, -1))
             size, head, shapes, steps, final = self._reverse
             tape = np.empty(size)
             np.multiply(diag, psi[row], tape[:head])
@@ -415,7 +394,7 @@ def _bit_set_indices(n: int) -> np.ndarray:
     """(n, 2^(n-1)) table: row q lists the basis indices with bit q set, in
     index order."""
     index = np.arange(1 << n)
-    table = np.array([index[(index >> q) & 1 == 1] for q in range(n)])
+    table = np.array([_pair_views(index, -1, q)[1].ravel() for q in range(n)])
     table.setflags(write=False)
     return table
 
@@ -431,5 +410,4 @@ def excavation_probabilities(state: StateVector) -> np.ndarray:
     p = probabilities(state)
     if state.n <= MARGINAL_TABLE_QUBITS:
         return p.take(_bit_set_indices(state.n)).sum(axis=1)
-    return np.array([p.reshape(-1, 2, 1 << q)[:, 1].ravel().sum()
-                     for q in range(state.n)])
+    return np.array([_pair_views(p, -1, q)[1].ravel().sum() for q in range(state.n)])

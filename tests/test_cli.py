@@ -4,6 +4,7 @@ bytes of recorded runs."""
 import hashlib
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -71,17 +72,17 @@ def test_solve_writes_trace_and_distribution(mini4_path, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out.startswith("P_opt=5 p_opt=1.000")
     assert set(os.listdir(out)) == {"trace.csv", "distribution.csv", "run.meta"}
-    trace = open(os.path.join(out, "trace.csv")).read().splitlines()
+    trace = Path(out, "trace.csv").read_text().splitlines()
     assert trace[0] == "evaluation,cost"
     assert trace[1].startswith("0,")
-    meta = open(os.path.join(out, "run.meta")).read()
+    meta = Path(out, "run.meta").read_text()
     assert "seed=1" in meta and "gamma=7/3" in meta
 
 
 def test_gamma_auto_uses_heuristic(mini4_path, tmp_path):
     out = str(tmp_path / "auto")
     assert main(["oracle", "--instance", mini4_path, "--out", out]) == 0
-    assert "gamma=5/3" in open(os.path.join(out, "run.meta")).read()
+    assert "gamma=5/3" in Path(out, "run.meta").read_text()
 
 
 def test_decompose_writes_fragment_traces(mini4_path, tmp_path, capsys):
@@ -90,7 +91,7 @@ def test_decompose_writes_fragment_traces(mini4_path, tmp_path, capsys):
                  "--seed", "1", "--out", out])
     assert code == 0
     assert "p_opt=1.000" in capsys.readouterr().out
-    lines = open(os.path.join(out, "fragments.csv")).read().splitlines()
+    lines = Path(out, "fragments.csv").read_text().splitlines()
     assert lines[0] == "sweep,fragment,negative_cost"
     assert lines[1].startswith("1,0,")
 
@@ -122,7 +123,7 @@ def test_compare_report_csv(mini4_path, tmp_path):
                  "--gamma", "7/3", "--seed", "1", "--max-evals", "2000",
                  "--out", out])
     assert code == 0
-    lines = open(os.path.join(out, "report.csv")).read().splitlines()
+    lines = Path(out, "report.csv").read_text().splitlines()
     assert lines[0] == "optimizer,evaluations_to_converge,final_cost"
     assert sorted(line.split(",")[0] for line in lines[1:]) == ["gd", "qnb", "spsa"]
 
@@ -137,7 +138,7 @@ def test_sample_with_noise_and_mitigation(mini4_path, tmp_path, capsys):
     assert code == 0
     assert "p_opt_mit=" in capsys.readouterr().out
     assert {"counts.csv", "mitigated.csv"} <= set(os.listdir(out))
-    counts = open(os.path.join(out, "counts.csv")).read().splitlines()
+    counts = Path(out, "counts.csv").read_text().splitlines()
     assert counts[0] == "bitstring,count"
     assert sum(int(line.split(",")[1]) for line in counts[1:]) == 4096
 
@@ -151,7 +152,7 @@ def test_sample_mitigates_at_twelve_qubits(tmp_path, capsys):
                  "--noise", str(noise), "--mitigate", "--out", out])
     assert code == 0
     assert "p_opt_mit=" in capsys.readouterr().out
-    mitigated = open(os.path.join(out, "mitigated.csv")).read().splitlines()
+    mitigated = Path(out, "mitigated.csv").read_text().splitlines()
     assert mitigated[0] == "bitstring,probability"
     assert len(mitigated) == 1 + 2**12
     assert sum(float(line.split(",")[1]) for line in mitigated[1:]) == pytest.approx(1.0)
@@ -173,7 +174,7 @@ def test_noise_file_probability_out_of_range_names_its_line(mini4_path, tmp_path
 
 
 def _read_all(outdir):
-    return {name: open(os.path.join(outdir, name), "rb").read()
+    return {name: Path(outdir, name).read_bytes()
             for name in sorted(os.listdir(outdir))}
 
 

@@ -790,7 +790,14 @@ def _pairs_by_masks(n, control, target):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_pair_tables_match_the_per_gate_masks(n):
-    """Every Ry and every (control, target) CRy, the two kinds interleaved."""
+    """Every Ry and every ordered (control, target) CRy, the two kinds
+    interleaved, from n = 1, which has no controlled kind, to 12.
+
+    ``_tail_pairs`` reads each gate's ``_pair_views`` of ``arange(2^n)``,
+    and the reference kernels ``apply_ry`` and ``apply_cry`` rotate the same
+    views, so the tests of programs against the kernels can no longer catch
+    a wrong selection: this comparison with per-gate bit masks is the one
+    independent check of ``_pair_views``."""
     gates = [(-1, t) for t in range(n)] + [(c, t) for c in range(n) for t in range(n)
                                            if c != t]
     gates = [gates[k] for k in np.random.default_rng(n).permutation(len(gates))]

@@ -12,6 +12,7 @@ from pitvqe.hamiltonian import DiagonalCost
 from pitvqe.lattice import make_lattice
 from pitvqe.simulator import (
     InitKind,
+    Program,
     apply_cry,
     apply_ry,
     excavation_probabilities,
@@ -138,3 +139,24 @@ def test_compiling_a_circuit_at_the_qubit_cap_allocates_no_pairs():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_program_builds_one_forward_and_one_reverse_table_set(monkeypatch):
+    # one column of four blocks: three controlled rotations below a Ry layer
+    lattice = make_lattice([[(0, w)] for w in (-1, 3, -2, 5)])
+    circuit = build_circuit(lattice)
+    program = circuit.program
+    builds = []
+    build = Program._tape_tables
+
+    def counted(self, *args):  # args end with the order of the sweep's gates
+        builds.append(list(args[-1]))
+        return build(self, *args)
+
+    monkeypatch.setattr(Program, "_tape_tables", counted)
+    rows = np.random.default_rng(4).uniform(-np.pi, np.pi, (16, circuit.param_count))
+    passes = [program.forward(rows[:b], InitKind.SUPERPOSITION) for b in (1, 5, 16)]
+    diag = DiagonalCost(lattice, Fraction(8, 3)).dense_diagonal()
+    program.gradient(rows[3], diag, InitKind.SUPERPOSITION, (passes[2], 3))
+    tail = list(range(len(program.tail_param)))
+    assert tail and builds == [tail, tail[::-1]]
